@@ -61,7 +61,7 @@ def _fmt(x: float) -> str:
 
 
 def parse_csv(path: str, has_header: bool = False) -> np.ndarray:
-    """Read a rectangular numeric CSV into an (n, d) array."""
+    """Read a rectangular numeric CSV of finite values into an (n, d) array."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -88,7 +88,15 @@ def parse_csv(path: str, has_header: bool = False) -> np.ndarray:
                     f"{path}: non-numeric cell at row {i + 1}, column {j + 1}: {cell!r}"
                 ) from None
         rows.append(row)
-    return np.asarray(rows, dtype=float)
+    data = np.asarray(rows, dtype=float)
+    finite = np.isfinite(data)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise DataError(
+            f"{path}: non-finite cell at row {i + 1}, column {j + 1}: "
+            f"{lines[i].split(',')[j]!r}"
+        )
+    return data
 
 
 def parse_alpha(text: str) -> float:
@@ -365,8 +373,7 @@ def cmd_select_k(cfg: RunConfig) -> int:
     rotated = rotate(rotation_for(u), sample)
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
-        selection = select_k(rotated, epsilon=cfg.epsilon, b1=cfg.b1,
-                             seed=cfg.seed, workers=cfg.workers)
+        selection = select_k(rotated, epsilon=cfg.epsilon, b1=cfg.b1, seed=cfg.seed)
     doc = selection.to_dict()
     doc["direction"] = [float(c) for c in u.components]
     doc["warnings"] = _collect_warnings(rec)
@@ -391,8 +398,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
         warnings.simplefilter("always")
         surface = estimate_surface(
             data, u, alpha, grid, k,
-            k_rho=cfg.k_rho, epsilon=cfg.epsilon, b1=cfg.b1,
-            seed=cfg.seed, workers=cfg.workers,
+            k_rho=cfg.k_rho, epsilon=cfg.epsilon, b1=cfg.b1, seed=cfg.seed,
         )
     if offset is not None:
         surface = shift_surface(surface, offset)
@@ -420,7 +426,7 @@ def cmd_flag(cfg: RunConfig) -> int:
     offset = np.median(sample, axis=0) if cfg.center else None
     data = sample if offset is None else sample - offset
     result = flag_outliers(data, u, alpha, k, epsilon=cfg.epsilon, b1=cfg.b1,
-                           seed=cfg.seed, workers=cfg.workers)
+                           seed=cfg.seed)
     if cfg.format == "csv":
         lines = ["row,alpha_z,flagged"]
         for i, (az, fl) in enumerate(zip(result.alpha_z, result.flagged)):
@@ -528,14 +534,14 @@ def run_mc_study(cfg: RunConfig) -> dict:
     rho_theory = np.array([theoretical_rho(t, params, u) for t in grid.thetas])
 
     def one(rep: int):
-        # a replicate whose tail fit cannot support extrapolation is
-        # reported as failed instead of aborting the whole study
+        # a replicate whose tail fit cannot support extrapolation, or whose
+        # numerics fail, is reported as failed instead of aborting the study
         sample = sample_t(params, n, _replicate_seed(cfg.seed, rep, 0))
         try:
             surface = estimate_surface(
                 sample, u, alpha, grid, parse_k(cfg.k),
                 epsilon=cfg.epsilon, b1=cfg.b1,
-                seed=_replicate_seed(cfg.seed, rep, 1), workers=1,
+                seed=_replicate_seed(cfg.seed, rep, 1),
             )
             ctx = StdfContext(rotate(r, sample), surface.fit)
             rho_star, _ = rho_hat_batch(ctx, theta_star[None, :])
@@ -543,7 +549,7 @@ def run_mc_study(cfg: RunConfig) -> dict:
                                         theta_star, alpha)
             x_tilde_star = asymptotic_quantile(params, u, alpha, theta_star,
                                                n / surface.fit.k)
-        except DataError as exc:
+        except (DataError, NumericalError) as exc:
             return {"error": f"{type(exc).__name__}: {exc}"}
         return {
             "k_hat": surface.k,
@@ -671,7 +677,8 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
                            help="input CSV has a header row"),
         "k_rho": dict(flags=["--k-rho"], type=int,
                       help="separate sample fraction for the radius estimator"),
-        "workers": dict(flags=["--workers"], type=int, help="parallel workers"),
+        "workers": dict(flags=["--workers"], type=int,
+                        help="threads running replicates in parallel"),
     }
     p.add_argument("--config", help="key=value config file; flags override it")
     for name in names:
@@ -693,18 +700,17 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select-k", help="bootstrap selection of the sample fraction")
     _add_common(p, "input", "output", "direction", "epsilon", "b1", "seed",
-                "has_header", "workers")
+                "has_header")
     p.set_defaults(func=cmd_select_k)
 
     p = sub.add_parser("estimate", help="estimate a quantile surface")
     _add_common(p, "input", "output", "format", "direction", "alpha", "k", "grid",
-                "delta", "epsilon", "b1", "seed", "center", "has_header", "k_rho",
-                "workers")
+                "delta", "epsilon", "b1", "seed", "center", "has_header", "k_rho")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("flag", help="flag rows beyond the level-alpha surface")
     _add_common(p, "input", "output", "format", "direction", "alpha", "k", "epsilon",
-                "b1", "seed", "center", "has_header", "workers")
+                "b1", "seed", "center", "has_header")
     p.set_defaults(func=cmd_flag)
 
     p = sub.add_parser("simulate-t", help="draw a multivariate t sample")

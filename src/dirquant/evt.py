@@ -146,24 +146,33 @@ def norm_sequences(sorted_values, k: int, gamma_j: float):
 def log_moment_profiles(sorted_values):
     """First and second log-moment statistics for every k = 1, ..., n-1.
 
-    Returns arrays indexed by k (index 0 unused). Requires all values
-    positive. Uses the cumulant expansion, which agrees with the direct
-    spacing sums up to roundoff.
+    ``sorted_values`` is ascending along its last axis, of length n;
+    leading axes index independent samples. Returns arrays of the same
+    shape indexed by k along the last axis (index 0 NaN). Requires all
+    values positive. Uses the cumulant expansion, which agrees with the
+    direct spacing sums up to roundoff.
     """
     s = np.asarray(sorted_values, dtype=float)
-    n = s.size
+    n = s.shape[-1]
     if n < 2:
         raise ValueError("need at least two observations")
-    if s[0] <= 0:
+    if (s[..., 0] <= 0).any():
         raise PositivityError("profiles require all values positive")
-    logs = np.log(s[::-1])
-    c1 = np.cumsum(logs)[:-1]
-    c2 = np.cumsum(logs * logs)[:-1]
+    # Logs of the descending values. np.log takes its SIMD loop on
+    # contiguous input and its scalar loop on a reversed view, and on
+    # AVX-512 hosts the two differ in the last bit; the reversed flat view
+    # keeps every sample on the scalar loop, so each row matches a
+    # one-dimensional call exactly.
+    logs = np.log(s.ravel()[::-1]).reshape(s.shape)
+    logs = logs[(slice(None, None, -1),) * (s.ndim - 1)]
+    c1 = np.cumsum(logs, axis=-1)[..., :-1]
+    c2 = np.cumsum(logs * logs, axis=-1)[..., :-1]
     ks = np.arange(1, n, dtype=float)
-    thr = logs[1:]
+    thr = logs[..., 1:]
     mean1 = c1 / ks
-    m1 = np.concatenate([[np.nan], mean1 - thr])
-    m2 = np.concatenate([[np.nan], c2 / ks - 2.0 * thr * mean1 + thr * thr])
+    nan = np.full(s.shape[:-1] + (1,), np.nan)
+    m1 = np.concatenate([nan, mean1 - thr], axis=-1)
+    m2 = np.concatenate([nan, c2 / ks - 2.0 * thr * mean1 + thr * thr], axis=-1)
     return m1, m2
 
 

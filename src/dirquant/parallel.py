@@ -1,8 +1,9 @@
 """Deterministic ordered mapping over independent work items.
 
-Work items own their RNG streams (derived from a seed and the item
-index), and results are always consumed in item order, so output is
-bit-identical for any worker count.
+Its one caller is ``mc-study``, which maps over replicates. Work items
+own their RNG streams (derived from a seed and the item index), and
+results are always consumed in item order, so output is bit-identical
+for any worker count.
 """
 
 from __future__ import annotations

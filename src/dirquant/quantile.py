@@ -184,7 +184,6 @@ def estimate_surface(
     epsilon: float = 0.25,
     b1: int = 1000,
     seed: int = 0,
-    workers: int = 1,
     min_rows: int = DEFAULT_MIN_ROWS,
 ) -> QuantileSurface:
     """Estimate the quantile surface of a sample at level alpha in direction u.
@@ -215,7 +214,7 @@ def estimate_surface(
     if isinstance(k, str):
         if k != "auto":
             raise ValueError(f"k must be an integer or 'auto', got {k!r}")
-        selection = select_k(rotated, epsilon=epsilon, b1=b1, seed=seed, workers=workers)
+        selection = select_k(rotated, epsilon=epsilon, b1=b1, seed=seed)
         k = selection.k_hat
     k = int(k)
 
@@ -319,7 +318,6 @@ def flag_outliers(
     epsilon: float = 0.25,
     b1: int = 1000,
     seed: int = 0,
-    workers: int = 1,
 ) -> OutlierFlags:
     """Flag sample rows lying beyond the level-alpha surface in direction u.
 
@@ -336,7 +334,7 @@ def flag_outliers(
     if isinstance(k, str):
         if k != "auto":
             raise ValueError(f"k must be an integer or 'auto', got {k!r}")
-        selection = select_k(rotated, epsilon=epsilon, b1=b1, seed=seed, workers=workers)
+        selection = select_k(rotated, epsilon=epsilon, b1=b1, seed=seed)
         k = selection.k_hat
     k = int(k)
     _rotated_positive_or_raise(rotated, k)

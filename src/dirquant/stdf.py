@@ -17,8 +17,8 @@ from .errors import HeavyTailError
 from .evt import TailFit
 
 # Largest number of pairwise comparisons materialized at once by the
-# batched counting kernel; keeps peak memory around tens of megabytes.
-_CHUNK_CELLS = 50_000_000
+# batched counting kernel: two boolean buffers of this many cells, 4 MB.
+_CHUNK_CELLS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,8 @@ def union_exceedance_counts(sample: np.ndarray, thresholds: np.ndarray) -> np.nd
     """Count rows exceeding each threshold vector in at least one coordinate.
 
     ``thresholds`` has shape (q, d); returns integer counts of length q.
-    Processes queries in chunks to bound memory for large q * n.
+    Processes queries in chunks to bound memory for large q * n; the two
+    chunk buffers are allocated once and refilled in place.
     """
     sample = np.asarray(sample, dtype=float)
     thr = np.atleast_2d(np.asarray(thresholds, dtype=float))
@@ -68,13 +69,17 @@ def union_exceedance_counts(sample: np.ndarray, thresholds: np.ndarray) -> np.nd
         raise ValueError(f"thresholds have dimension {thr.shape[1]}, sample has {d}")
     cols = [np.ascontiguousarray(sample[:, j]) for j in range(d)]
     out = np.empty(q, dtype=np.int64)
-    chunk = max(1, _CHUNK_CELLS // max(n, 1))
+    chunk = max(1, min(q, _CHUNK_CELLS // max(n, 1)))
+    hit_buf = np.empty((chunk, n), dtype=bool)
+    col_buf = np.empty((chunk, n), dtype=bool)
     for s in range(0, q, chunk):
         block = thr[s:s + chunk]
-        hit = cols[0][None, :] > block[:, 0][:, None]
+        hit, col_hit = hit_buf[: block.shape[0]], col_buf[: block.shape[0]]
+        np.greater(cols[0], block[:, :1], out=hit)
         for j in range(1, d):
-            hit |= cols[j][None, :] > block[:, j][:, None]
-        out[s:s + chunk] = hit.sum(axis=1)
+            np.greater(cols[j], block[:, j:j + 1], out=col_hit)
+            hit |= col_hit
+        out[s:s + chunk] = np.count_nonzero(hit, axis=1)
     return out
 
 

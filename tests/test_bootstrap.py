@@ -6,15 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirquant import (
+    PositivityError,
     ResamplingError,
     bootstrap_error,
     convergence_rate,
     diagonal_direction,
+    fpc_direction,
     optimal_k_for_size,
     optimal_k_from_resamples,
     orthant_leq,
+    rotate,
+    rotation_for,
+    sample_t,
     select_k,
 )
+from dirquant import bootstrap
 from dirquant.errors import SmallSampleWarning
 
 LN2 = math.log(2.0)
@@ -61,13 +67,6 @@ class TestOptimalK:
         k2 = optimal_k_for_size(sample, 150, 50, seed=9)
         assert np.array_equal(k1, k2)
 
-    def test_worker_count_does_not_change_result(self):
-        rng = np.random.default_rng(29)
-        sample = pareto_sample(rng, 600, 2)
-        k1 = optimal_k_for_size(sample, 150, 60, seed=4, workers=1)
-        k4 = optimal_k_for_size(sample, 150, 60, seed=4, workers=4)
-        assert np.array_equal(k1, k4)
-
     def test_exact_pareto_error_curve_flat_and_small(self):
         # exponential log-spacings satisfy the moment relation in
         # expectation, so the error stays uniformly small over a wide k range
@@ -89,8 +88,81 @@ class TestOptimalK:
 
     def test_exhausted_redraws_raise(self):
         sample = -np.abs(np.random.default_rng(1).standard_normal((200, 2))) - 0.1
-        with pytest.raises(ResamplingError):
+        message = ("resamples of size 50 kept fewer than 10 positive rows in 100 "
+                   "attempts; too little mass in the positive orthant")
+        with pytest.raises(ResamplingError) as exc:
             optimal_k_for_size(sample, 50, 5, seed=0)
+        assert str(exc.value) == message
+
+    def test_nonpositive_resample_rejected(self):
+        with pytest.raises(PositivityError):
+            optimal_k_from_resamples([[[1.0, 2.0], [0.0, 3.0], [4.0, 5.0]]])
+
+    def test_block_size_does_not_change_sums(self, monkeypatch):
+        # resamples join the running sums one at a time in index order, so
+        # grouping them differently must not move a single bit
+        sample = half_positive_sample(29)
+        ref_sums, ref_counts = kernel_sums(monkeypatch, sample, 150, 60, 4)
+        for block in (1, 7, 1000):
+            monkeypatch.setattr(bootstrap, "BLOCK", block)
+            sums, counts = kernel_sums(monkeypatch, sample, 150, 60, 4)
+            assert np.array_equal(sums, ref_sums)
+            assert np.array_equal(counts, ref_counts)
+
+    def test_sums_match_one_resample_loop(self, monkeypatch):
+        sample = half_positive_sample(30)
+        sums, counts = kernel_sums(monkeypatch, sample, 150, 60, 4)
+        ref_sums, ref_counts = loop_sums(sample, 150, 60, 4)
+        assert np.array_equal(sums, ref_sums)
+        assert np.array_equal(counts, ref_counts)
+
+
+def half_positive_sample(seed):
+    rng = np.random.default_rng(seed)
+    sample = pareto_sample(rng, 600, 2)
+    sample[rng.uniform(size=600) < 0.5, 1] *= -1.0
+    return sample
+
+
+def kernel_sums(monkeypatch, sample, m, b, seed):
+    """Running sums and counts as optimal_k_for_size hands them to the argmin."""
+    captured = []
+    real = bootstrap._argmin_per_marginal
+
+    def spy(sums, counts, b):
+        captured.append((sums.copy(), counts.copy()))
+        return real(sums, counts, b)
+
+    monkeypatch.setattr(bootstrap, "_argmin_per_marginal", spy)
+    optimal_k_for_size(sample, m, b, seed=seed)
+    monkeypatch.setattr(bootstrap, "_argmin_per_marginal", real)
+    return captured[0]
+
+
+def loop_sums(sample, m, b, seed, stage=1, floor=10):
+    """The same sums built one resample, one marginal and one k at a time."""
+    d = sample.shape[1]
+    sums = np.zeros((d, m + 2))
+    counts = np.zeros((d, m + 2))
+    for idx in range(b):
+        rng = np.random.default_rng([seed, stage, idx])
+        for _ in range(100):
+            rows = sample[rng.integers(0, sample.shape[0], m)]
+            rows = rows[(rows > 0).all(axis=1)]
+            if rows.shape[0] >= floor:
+                break
+        for j in range(d):
+            logs = np.log(np.sort(rows[:, j])[::-1])
+            c1 = np.cumsum(logs)
+            c2 = np.cumsum(logs * logs)
+            for k in range(2, rows.shape[0]):
+                thr = logs[k]
+                mean1 = c1[k - 1] / k
+                m1 = mean1 - thr
+                m2 = c2[k - 1] / k - 2.0 * thr * mean1 + thr * thr
+                sums[j, k] += (m2 - 2.0 * m1 * m1) ** 2
+                counts[j, k] += 1
+    return sums, counts
 
 
 class TestConvergenceRate:
@@ -131,13 +203,6 @@ class TestSelectK:
         s1 = select_k(sample, b1=40, seed=11)
         s2 = select_k(sample, b1=40, seed=11)
         assert s1.to_dict() == s2.to_dict()
-
-    def test_worker_count_invariance(self):
-        rng = np.random.default_rng(41)
-        sample = pareto_sample(rng, 800, 2)
-        s1 = select_k(sample, b1=40, seed=2, workers=1)
-        s4 = select_k(sample, b1=40, seed=2, workers=4)
-        assert s1.to_dict() == s4.to_dict()
 
     def test_small_sample_fallback(self):
         rng = np.random.default_rng(43)
@@ -180,3 +245,61 @@ class TestSelectK:
             return
         assert sel.m1 == int(math.floor(n ** (1.0 - eps)))
         assert sel.m2 == (sel.m1 * sel.m1) // n
+
+
+# select_k(...).to_dict() recorded from the one-resample-at-a-time
+# implementation that the block kernel replaced; the kernel must
+# reproduce every field exactly.
+PAPER_2D = {
+    "k_hat": 143, "k_j_m1": [29, 40], "k_j_m2": [5, 6],
+    "pi_j": [-0.5575762090754673, -0.683632253216196],
+    "m1": 594, "m2": 70, "epsilon": 0.25, "b1": 1000, "seed": 7, "n": 5000,
+    "fallback": False,
+}
+T_3D = {
+    "k_hat": 13, "k_j_m1": [10, 10, 5], "k_j_m2": [2, 3, 2],
+    "pi_j": [-0.33882886916544847, -0.33882886916544847, -0.1967044347792189],
+    "m1": 299, "m2": 44, "epsilon": 0.25, "b1": 200, "seed": 3, "n": 2000,
+    "fallback": False,
+}
+SPARSE = {
+    "k_hat": 2, "k_j_m1": [3, 4], "k_j_m2": [2, 2],
+    "pi_j": [-0.11936685861510675, -0.16066833724443672],
+    "m1": 299, "m2": 44, "epsilon": 0.25, "b1": 150, "seed": 13, "n": 2000,
+    "fallback": False,
+}
+
+
+def short_first_draws(sample, m, b, seed, stage, floor):
+    """Resamples whose first draw from their stream retains too few rows."""
+    n = sample.shape[0]
+    return sum(
+        int((sample[np.random.default_rng([seed, stage, i]).integers(0, n, m)] > 0)
+            .all(axis=1).sum() < floor)
+        for i in range(b)
+    )
+
+
+class TestSelectKReference:
+    def test_paper_model_2d_fpc(self, params_2d):
+        rotated = rotate(rotation_for(fpc_direction(params_2d.sigma)),
+                         sample_t(params_2d, 5000, 2024))
+        assert select_k(rotated, b1=1000, seed=7).to_dict() == PAPER_2D
+
+    def test_three_dimensional_with_lowered_floor(self, params_3d):
+        rotated = rotate(rotation_for(diagonal_direction(3)),
+                         sample_t(params_3d, 2000, 31))
+        with pytest.warns(SmallSampleWarning, match="resamples of size 44"):
+            sel = select_k(rotated, b1=200, seed=3)
+        assert sel.to_dict() == T_3D
+
+    def test_sparse_orthant_forces_redraws(self):
+        # about 4% of the rows are positive in both coordinates
+        rng = np.random.default_rng(59)
+        sample = rng.uniform(size=(2000, 2)) ** -0.5 - 1.0
+        sample[rng.uniform(size=2000) > 0.05, 0] *= -1.0
+        assert short_first_draws(sample, 299, 150, 13, 1, 10) > 0
+        assert short_first_draws(sample, 44, 150, 13, 2, 3) > 0
+        with pytest.warns(SmallSampleWarning, match="floor to 3"):
+            sel = select_k(sample, b1=150, seed=13)
+        assert sel.to_dict() == SPARSE

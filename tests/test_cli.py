@@ -1,11 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from dirquant import DataError, sample_t
+from dirquant import DataError, InversionError, sample_t
+from dirquant import cli
 from dirquant.cli import (
     main,
     parse_alpha,
@@ -52,6 +54,12 @@ class TestParsers:
         p.write_text("1,2\n3,oops\n")
         with pytest.raises(DataError, match="row 2, column 2"):
             parse_csv(str(p))
+
+    def test_parse_csv_non_finite_cell_named(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("x,y\n1,2\n3,inf\n")
+        with pytest.raises(DataError, match="non-finite cell at row 2, column 2: 'inf'"):
+            parse_csv(str(p), has_header=True)
 
     def test_parse_alpha_fraction(self):
         assert parse_alpha("1/1250") == pytest.approx(8e-4)
@@ -130,7 +138,7 @@ class TestCommands:
         argv = ["select-k", "--input", data_csv, "--has-header",
                 "--b1", "40", "--seed", "3"]
         assert main(argv + ["--output", str(out1)]) == 0
-        assert main(argv + ["--output", str(out2), "--workers", "3"]) == 0
+        assert main(argv + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         doc = json.loads(out1.read_text())
         for field in ("k_hat", "k_j_m1", "k_j_m2", "pi_j", "m1", "m2",
@@ -233,6 +241,27 @@ class TestCommands:
         assert summary["valid_replicates"] + len(summary["failed_replicates"]) == 2
         assert len(rep) == 1 + summary["valid_replicates"]
 
+    def test_mc_study_records_numerical_failure(self, tmp_path, monkeypatch):
+        real = cli.asymptotic_quantile
+        calls = []
+
+        def fail_first(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise InversionError("bisection did not converge")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "asymptotic_quantile", fail_first)
+        prefix = tmp_path / "mc"
+        assert main(["mc-study", "--mu", MU2, "--sigma", SIG2, "--nu", "3",
+                     "--n", "2000", "--replicates", "3", "--k", "100",
+                     "--grid", "4", "--seed", "41", "--output", str(prefix)]) == 0
+        summary = json.loads((tmp_path / "mc.summary.json").read_text())
+        assert summary["failed_replicates"] == [
+            {"replicate": 0, "error": "InversionError: bisection did not converge"}
+        ]
+        assert summary["valid_replicates"] == 2
+
     def test_config_file_with_flag_override(self, data_csv, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(
@@ -268,15 +297,41 @@ class TestExitCodes:
         assert main(["estimate", "--input", str(raw), "--alpha", "1/900",
                      "--k", "90", "--grid", "4"]) == 3
 
+    @pytest.mark.parametrize("command", [
+        ["select-k", "--b1", "40"],
+        ["estimate", "--alpha", "1/1500", "--k", "auto", "--b1", "40", "--grid", "4"],
+        ["flag", "--alpha", "0.01", "--k", "150"],
+        ["rotate", "--direction", "fpc"],
+    ])
+    def test_data_error_non_finite_cell(self, command, data_csv, tmp_path, capsys):
+        lines = open(data_csv).read().splitlines()
+        lines[700] = "nan," + lines[700].split(",")[1]
+        bad = tmp_path / "nan.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.json"
+        assert main(command + ["--input", str(bad), "--has-header",
+                               "--output", str(out)]) == 3
+        assert "non-finite cell at row 700, column 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["select-k", "estimate", "flag"])
+    def test_workers_flag_only_on_mc_study(self, command, data_csv):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", data_csv, "--workers", "2"])
+        assert exc.value.code == 2
+
     def test_argparse_usage_exit(self):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--bogus-flag"])
         assert exc.value.code == 2
 
     def test_console_script_help(self):
+        # the child imports the same package as the tests, installed or not
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "dirquant.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "estimate" in proc.stdout

@@ -17,6 +17,7 @@ from dirquant import (
     norm_sequences,
 )
 from dirquant.errors import TailDisparityWarning
+from dirquant.evt import log_moment_profiles
 
 LN2 = math.log(2.0)
 
@@ -43,6 +44,32 @@ class TestLogMoment:
     def test_k_bounds(self):
         with pytest.raises(ValueError):
             log_moment([1.0, 2.0], 2, 1)
+
+
+class TestLogMomentProfiles:
+    def test_matches_direct_moments(self):
+        s = np.sort(np.random.default_rng(5).uniform(size=40) ** -0.5)
+        m1, m2 = log_moment_profiles(s)
+        assert np.isnan(m1[0]) and np.isnan(m2[0])
+        for k in range(1, 40):
+            assert m1[k] == pytest.approx(log_moment(s, k, 1), rel=1e-10, abs=1e-13)
+            assert m2[k] == pytest.approx(log_moment(s, k, 2), rel=1e-10, abs=1e-13)
+
+    def test_batch_rows_equal_single_calls_bitwise(self):
+        rng = np.random.default_rng(6)
+        batch = np.sort(rng.uniform(size=(3, 5, 60)) ** -0.7, axis=-1)
+        m1, m2 = log_moment_profiles(batch)
+        assert m1.shape == m2.shape == batch.shape
+        for i in range(3):
+            for j in range(5):
+                r1, r2 = log_moment_profiles(batch[i, j])
+                assert np.array_equal(m1[i, j], r1, equal_nan=True)
+                assert np.array_equal(m2[i, j], r2, equal_nan=True)
+
+    def test_nonpositive_row_rejected(self):
+        batch = np.array([[1.0, 2.0, 3.0], [0.0, 2.0, 3.0]])
+        with pytest.raises(PositivityError):
+            log_moment_profiles(batch)
 
 
 class TestGammaMoment:

@@ -9,6 +9,7 @@ from dirquant import (
     rho_hat,
     rho_hat_batch,
 )
+from dirquant import stdf
 
 
 def make_ctx(sample, k, a, b, gamma=None):
@@ -139,3 +140,17 @@ class TestRhoHat:
             single = rho_hat(ctx, theta)
             assert values[i] == single.value
             assert floored[i] == single.floored
+
+
+class TestUnionExceedanceCounts:
+    def test_chunked_counts_match_oracle(self, monkeypatch):
+        # 50 cells over 20 rows: chunks of two queries, the last one partial
+        monkeypatch.setattr(stdf, "_CHUNK_CELLS", 50)
+        rng = np.random.default_rng(12)
+        for d in (1, 2, 3):
+            sample = rng.standard_normal((20, d))
+            thresholds = rng.standard_normal((7, d))
+            thresholds[0] = sample[3]  # ties: strict comparison counts none
+            counts = stdf.union_exceedance_counts(sample, thresholds)
+            assert counts.dtype == np.int64
+            assert counts.tolist() == [counting_oracle(sample, t) for t in thresholds]
