@@ -63,6 +63,7 @@ from .quantile import (
 from .stdf import RhoEstimate, StdfContext, empirical_neg_log_G, rho_hat, rho_hat_batch
 from .tmodel import (
     TParams,
+    asymptotic_point,
     asymptotic_quantile,
     fpc_direction,
     relative_error,
@@ -89,7 +90,7 @@ __all__ = [
     "optimal_k_for_size", "convergence_rate", "select_k",
     "TParams", "sample_t", "rotate_elliptical", "fpc_direction", "t_cdf", "t_stdf",
     "theoretical_rho", "theoretical_norm_sequences", "asymptotic_quantile",
-    "relative_error",
+    "asymptotic_point", "relative_error",
     "DirquantError", "DataError", "NumericalError", "InvalidDirectionError",
     "PositivityError", "HeavyTailError", "DegenerateMomentsError",
     "DegenerateModelError", "UnsupportedDimensionError", "ResamplingError",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass, fields
@@ -41,6 +42,7 @@ from .quantile import (
 from .stdf import rho_hat_batch
 from .tmodel import (
     TParams,
+    asymptotic_point,
     asymptotic_quantile,
     fpc_direction,
     relative_error,
@@ -331,6 +333,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
     for key, val in file_values.items():
+        # the parser defines one attribute per option of the subcommand
+        if key not in vars(args):
+            raise ValueError(
+                f"{args.config}: config key {key!r} is not an option of {args.command}"
+            )
         setattr(cfg, key, val)
     for f in fields(RunConfig):
         cli_val = getattr(args, f.name, None)
@@ -427,10 +434,12 @@ def cmd_flag(cfg: RunConfig) -> int:
     data = sample if offset is None else sample - offset
     result = flag_outliers(data, u, alpha, k, epsilon=cfg.epsilon, b1=cfg.b1,
                            seed=cfg.seed)
+    # plain Python floats and bools: per-row numpy scalars cost twice as much
+    levels, flags = result.alpha_z.tolist(), result.flagged.tolist()
     if cfg.format == "csv":
         lines = ["row,alpha_z,flagged"]
-        for i, (az, fl) in enumerate(zip(result.alpha_z, result.flagged)):
-            lines.append(f"{i},{_fmt(az) if np.isfinite(az) else 'inf'},"
+        for i, (az, fl) in enumerate(zip(levels, flags)):
+            lines.append(f"{i},{format(az, '.17g') if math.isfinite(az) else 'inf'},"
                          f"{'true' if fl else 'false'}")
         _write_text(cfg.output, "\n".join(lines) + "\n")
     else:
@@ -439,11 +448,8 @@ def cmd_flag(cfg: RunConfig) -> int:
             "direction": [float(c) for c in u.components],
             "k": int(result.fit.k),
             "rows": [
-                {
-                    "alpha_z": float(az) if np.isfinite(az) else None,
-                    "flagged": bool(fl),
-                }
-                for az, fl in zip(result.alpha_z, result.flagged)
+                {"alpha_z": az if math.isfinite(az) else None, "flagged": fl}
+                for az, fl in zip(levels, flags)
             ],
         }
         _write_text(cfg.output, _json_text(doc))
@@ -477,7 +483,7 @@ def cmd_oracle_t(cfg: RunConfig) -> int:
     points = []
     for theta in grid.thetas:
         rho = theoretical_rho(theta, params, u)
-        x_rot = asymptotic_quantile(params, u, alpha, theta, t_anchor)
+        x_rot = asymptotic_point(rho, theta, ab, gamma, alpha, t_anchor)
         x_orig = r.entries.T @ x_rot
         points.append(
             {

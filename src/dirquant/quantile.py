@@ -94,7 +94,7 @@ def quantile_point(fit: TailFit, rho: float, theta, alpha: float) -> np.ndarray:
     if (gam <= 0).any():
         j = int(np.argmax(gam <= 0))
         raise HeavyTailError(
-            f"marginal {j} tail index {gam[j]!r} <= 0; out-sample extrapolation "
+            f"marginal {j} tail index {float(gam[j])!r} <= 0; out-sample extrapolation "
             "requires heavy tails"
         )
     base = (fit.k * rho * theta) / (fit.n * alpha)
@@ -266,12 +266,13 @@ def shift_surface(surface: QuantileSurface, offset) -> QuantileSurface:
 
 
 def tail_levels(
-    ctx: StdfContext, zs, u: Direction, fit: Optional[TailFit] = None
+    ctx: StdfContext, zs, u: Direction | RotationMatrix, fit: Optional[TailFit] = None
 ) -> np.ndarray:
     """Vectorized tail levels alpha_z for points in original coordinates.
 
-    Points whose Frechet weights all vanish are outside the extremal
-    region and get alpha_z = +inf.
+    ``u`` is the direction or its already built rotation. Points whose
+    Frechet weights all vanish are outside the extremal region and get
+    alpha_z = +inf.
     """
     fit = ctx.fit if fit is None else fit
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
@@ -340,7 +341,7 @@ def flag_outliers(
     _rotated_positive_or_raise(rotated, k)
     fit = fit_tails(rotated, k)
     ctx = StdfContext(rotated, fit)
-    alpha_z = tail_levels(ctx, sample, u)
+    alpha_z = tail_levels(ctx, sample, r)
     flagged = (alpha_z < alpha) & (alpha_z <= fit.k / fit.n)
     return OutlierFlags(
         alpha=alpha, alpha_z=alpha_z, flagged=flagged, fit=fit, k_selection=selection

@@ -4,6 +4,12 @@ The estimator counts, among the rotated sample rows, how many exceed a
 vector of thresholds in at least one coordinate. Evaluating it on the
 Frechet-transformed polar argument yields the radius rho_hat that scales
 quantile points along each angular ray.
+
+A row fails to exceed a threshold vector exactly when it is componentwise
+<= it, so the count is n minus an offline dominance count. For d <= 2 and
+enough queries that count comes from sorted coordinates (a merge-sort tree
+for d = 2), in O((n + q) log^2 n) time and O(n + q) memory; otherwise every
+query is compared with every row, in O(q n d) time.
 """
 
 from __future__ import annotations
@@ -58,8 +64,9 @@ def union_exceedance_counts(sample: np.ndarray, thresholds: np.ndarray) -> np.nd
     """Count rows exceeding each threshold vector in at least one coordinate.
 
     ``thresholds`` has shape (q, d); returns integer counts of length q.
-    Processes queries in chunks to bound memory for large q * n; the two
-    chunk buffers are allocated once and refilled in place.
+    Exceedance is strict, and a nan threshold is never exceeded. One- and
+    two-dimensional samples with many queries are counted through sorted
+    coordinates; other inputs compare every query with every row.
     """
     sample = np.asarray(sample, dtype=float)
     thr = np.atleast_2d(np.asarray(thresholds, dtype=float))
@@ -67,6 +74,23 @@ def union_exceedance_counts(sample: np.ndarray, thresholds: np.ndarray) -> np.nd
     q = thr.shape[0]
     if thr.shape[1] != d:
         raise ValueError(f"thresholds have dimension {thr.shape[1]}, sample has {d}")
+    # Below these sizes the sorts cost more than the comparisons they save.
+    # Measured with numpy 2.4 on x86-64, sorting breaks even near 8-16
+    # queries for d = 1 and near 512 queries over 512 or more rows for
+    # d = 2, and is 1.3-2.3 times faster from 1024 queries on.
+    if (d == 1 and q >= 16) or (d == 2 and q >= 1024 and n >= 512):
+        return _exceedances_by_sorting(sample, thr)
+    return _exceedances_by_comparison(sample, thr)
+
+
+def _exceedances_by_comparison(sample: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """Union counts by comparing every query with every row, any d.
+
+    Processes queries in chunks to bound memory for large q * n; the two
+    chunk buffers are allocated once and refilled in place.
+    """
+    n, d = sample.shape
+    q = thr.shape[0]
     cols = [np.ascontiguousarray(sample[:, j]) for j in range(d)]
     out = np.empty(q, dtype=np.int64)
     chunk = max(1, min(q, _CHUNK_CELLS // max(n, 1)))
@@ -81,6 +105,47 @@ def union_exceedance_counts(sample: np.ndarray, thresholds: np.ndarray) -> np.nd
             hit |= col_hit
         out[s:s + chunk] = np.count_nonzero(hit, axis=1)
     return out
+
+
+def _exceedances_by_sorting(sample: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """Union counts for d in {1, 2} as n minus a dominance count.
+
+    Rows are sorted by coordinate 1, so the rows with x1 <= t1 form a
+    prefix of length p; coordinate 2 is replaced by its stable rank, so
+    x2 <= t2 becomes rank < r. The count of prefix rows with rank < r is
+    read from a merge-sort tree: level L sorts the ranks within aligned
+    blocks of 2^L rows as the keys block * (n + 1) + rank, and a prefix
+    is the union of at most one block per level (the set bits of p), each
+    counted by one vectorised searchsorted over all queries.
+    """
+    n, d = sample.shape
+    # a nan coordinate never exceeds anything, exactly like -inf; nan
+    # thresholds sort above every value, so searchsorted puts them past
+    # all rows
+    cols = np.where(np.isnan(sample), -np.inf, sample)
+    order = np.argsort(cols[:, 0], kind="stable")
+    p = np.searchsorted(cols[order, 0], thr[:, 0], side="right")
+    if d == 1:
+        return n - p
+    by_x2 = np.argsort(cols[:, 1], kind="stable")
+    r = np.searchsorted(cols[by_x2, 1], thr[:, 1], side="right")
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_x2] = np.arange(n)
+    pos = np.arange(n)
+    stride = n + 1
+    keys = pos * stride + rank[order]
+    dominated = np.zeros(thr.shape[0], dtype=np.int64)
+    for level in range(n.bit_length()):
+        if level:
+            # relabel each pair of sorted half-blocks with their common
+            # block; a stable sort merges the two runs
+            keys -= ((pos >> (level - 1)) - (pos >> level)) * stride
+            keys.sort(kind="stable")
+        sel = np.flatnonzero((p >> level) & 1)
+        block = (p[sel] >> level) - 1
+        below = np.searchsorted(keys, block * stride + r[sel])
+        dominated[sel] += below - (block << level)
+    return n - dominated
 
 
 def empirical_neg_log_G(ctx: StdfContext, x) -> float:
@@ -107,8 +172,8 @@ def rho_hat_batch(ctx: StdfContext, thetas) -> tuple[np.ndarray, np.ndarray]:
     if (gam <= 0).any():
         j = int(np.argmax(gam <= 0))
         raise HeavyTailError(
-            f"marginal {j} has tail index {gam[j]!r} <= 0; heavy-tail extrapolation "
-            "requires positive indexes"
+            f"marginal {j} has tail index {float(gam[j])!r} <= 0; heavy-tail "
+            "extrapolation requires positive indexes"
         )
     if (thetas < 0).any():
         raise ValueError("theta components must be non-negative")

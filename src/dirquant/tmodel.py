@@ -268,10 +268,19 @@ def asymptotic_quantile(params: TParams, u: Direction, alpha: float, theta, t: f
     theta = np.asarray(theta, dtype=float)
     rotated = rotate_elliptical(params, rotation_for(u))
     rho = theoretical_rho(theta, params, u)
-    gamma = params.gamma
-    out = np.empty(params.d)
-    for j in range(params.d):
-        a_j, b_j = theoretical_norm_sequences(rotated, j, t)
+    ab = [theoretical_norm_sequences(rotated, j, t) for j in range(params.d)]
+    return asymptotic_point(rho, theta, ab, params.gamma, alpha, t)
+
+
+def asymptotic_point(rho: float, theta, ab, gamma: float, alpha: float, t: float):
+    """Asymptotic quantile point from a radius and normalization pairs.
+
+    ``ab`` holds one (a_j(t), b_j(t)) pair per rotated marginal, as
+    returned by ``theoretical_norm_sequences``; callers that visit many
+    angles at one anchor t compute the pairs once.
+    """
+    out = np.empty(len(ab))
+    for j, (a_j, b_j) in enumerate(ab):
         base = rho * theta[j] / (t * alpha)
         out[j] = a_j * (base**gamma - 1.0) / gamma + b_j
     return out

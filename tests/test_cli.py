@@ -6,8 +6,15 @@ import sys
 import numpy as np
 import pytest
 
-from dirquant import DataError, InversionError, sample_t
-from dirquant import cli
+from dirquant import (
+    DataError,
+    InversionError,
+    asymptotic_quantile,
+    diagonal_direction,
+    flag_outliers,
+    sample_t,
+)
+from dirquant import cli, tmodel
 from dirquant.cli import (
     main,
     parse_alpha,
@@ -197,6 +204,28 @@ class TestCommands:
         assert lines[0] == "row,alpha_z,flagged"
         assert len(lines) == 1501
 
+    def test_flag_rows_match_library(self, tmp_path, params_2d):
+        # a centred sample: rows far below the diagonal get alpha_z = inf
+        data = tmp_path / "t.csv"
+        sample = sample_t(params_2d, 1500, 8)
+        data.write_text("\n".join(f"{float(a)!r},{float(b)!r}" for a, b in sample) + "\n")
+        res = flag_outliers(parse_csv(str(data)), diagonal_direction(2), 0.01, k=150)
+        assert np.isinf(res.alpha_z).any() and res.flagged.any()
+        base = ["flag", "--input", str(data), "--alpha", "0.01", "--k", "150"]
+        assert main(base + ["--format", "csv", "--output", str(tmp_path / "f.csv")]) == 0
+        assert main(base + ["--output", str(tmp_path / "f.json")]) == 0
+        lines = (tmp_path / "f.csv").read_text().splitlines()[1:]
+        assert lines == [
+            f"{i},{format(float(az), '.17g') if np.isfinite(az) else 'inf'},"
+            f"{'true' if fl else 'false'}"
+            for i, (az, fl) in enumerate(zip(res.alpha_z, res.flagged))
+        ]
+        rows = json.loads((tmp_path / "f.json").read_text())["rows"]
+        assert rows == [
+            {"alpha_z": float(az) if np.isfinite(az) else None, "flagged": bool(fl)}
+            for az, fl in zip(res.alpha_z, res.flagged)
+        ]
+
     def test_simulate_then_estimate(self, tmp_path):
         sim = tmp_path / "sim.csv"
         rc = main(["simulate-t", "--mu", MU2, "--sigma", SIG2, "--nu", "3",
@@ -221,6 +250,32 @@ class TestCommands:
                                          "rho", "floored"}
         assert doc["gamma"] == pytest.approx(1 / 3)
         assert abs(doc["direction"][0]) > 0.99
+
+    def test_oracle_points_reuse_radius_and_norm_sequences(self, tmp_path, monkeypatch):
+        calls = {"theoretical_rho": 0, "theoretical_norm_sequences": 0}
+        for name in calls:
+            real = getattr(tmodel, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(tmodel, name, counted)
+            monkeypatch.setattr(cli, name, counted)
+        out = tmp_path / "oracle.json"
+        m3 = ["--mu", "0,0,0", "--sigma", "1,0.5,0.2,0.5,1,0.3,0.2,0.3,1", "--nu", "4"]
+        assert main(["oracle-t", *m3, "--alpha", "1/5000", "--n", "5000", "--k", "100",
+                     "--grid", "3", "--direction", "fpc", "--output", str(out)]) == 0
+        assert calls == {"theoretical_rho": 9, "theoretical_norm_sequences": 3}
+        monkeypatch.undo()
+        doc = json.loads(out.read_text())
+        sigma = [[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]]
+        params = tmodel.TParams(np.zeros(3), np.array(sigma), 4.0)
+        u = tmodel.fpc_direction(params.sigma)
+        for p in doc["points"]:
+            assert p["x_rotated"] == asymptotic_quantile(
+                params, u, 1 / 5000, np.array(p["theta"]), 50.0).tolist()
+            assert p["rho"] == tmodel.theoretical_rho(np.array(p["theta"]), params, u)
 
     def test_mc_study_outputs_and_determinism(self, tmp_path):
         args = ["mc-study", "--mu", MU2, "--sigma", SIG2, "--nu", "3",
@@ -275,6 +330,26 @@ class TestCommands:
         doc = json.loads(out.read_text())
         assert len(doc["points"]) == 6
         assert doc["k"] == 150
+
+    def test_config_key_of_command_accepted(self, data_csv, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"input={data_csv}\nhas-header=true\nb1=40\nseed=3\n")
+        out = tmp_path / "k.json"
+        assert main(["select-k", "--config", str(cfgfile), "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["b1"], doc["seed"]) == (40, 3)
+
+    def test_config_key_unused_by_command_rejected(self, data_csv, tmp_path, capsys):
+        # select-k has no --workers: a file value for it would be ignored
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"input={data_csv}\nhas-header=true\nworkers=8\n")
+        out = tmp_path / "k.json"
+        assert main(["select-k", "--config", str(cfgfile), "--b1", "40",
+                     "--output", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "'workers' is not an option of select-k" in err["message"]
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -25,6 +25,7 @@ from dirquant import (
     tail_levels,
     theta_grid,
 )
+from dirquant import quantile
 
 SQ2 = math.sqrt(2.0) / 2.0
 
@@ -107,8 +108,10 @@ class TestQuantilePoint:
     def test_nonpositive_gamma_rejected(self):
         fit = TailFit(k=10, gamma_marginal=np.array([-0.5]), gamma=-0.5,
                       a=np.array([1.0]), b=np.array([2.0]), n=1000)
-        with pytest.raises(HeavyTailError):
+        with pytest.raises(HeavyTailError) as exc:
             quantile_point(fit, 1.0, np.array([1.0]), 0.001)
+        assert "marginal 0 tail index -0.5 <= 0" in str(exc.value)
+        assert "np.float64" not in str(exc.value)
 
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
@@ -298,6 +301,16 @@ class TestFlagOutliers:
         res = flag_outliers(data, diagonal_direction(2), 0.01, k=200)
         assert res.alpha_z[10] == res.alpha_z[20]
         assert res.flagged[10] == res.flagged[20]
+
+    def test_rotation_built_once(self, sample_2d, monkeypatch):
+        calls = []
+        monkeypatch.setattr(quantile, "rotation_for",
+                            lambda u: calls.append(u) or rotation_for(u))
+        res = flag_outliers(sample_2d, diagonal_direction(2), 0.01, k=200)
+        assert len(calls) == 1
+        ctx = StdfContext(rotate(rotation_for(diagonal_direction(2)), sample_2d), res.fit)
+        assert np.array_equal(res.alpha_z,
+                              tail_levels(ctx, sample_2d, diagonal_direction(2)))
 
     def test_alpha_one_never_flags_interior_rows(self, sample_2d):
         res = flag_outliers(sample_2d, diagonal_direction(2), 1.0 - 1e-12, k=200)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirquant import (
     HeavyTailError,
@@ -114,8 +116,10 @@ class TestRhoHat:
     def test_nonpositive_gamma_rejected(self):
         sample = np.abs(np.random.default_rng(1).standard_normal((30, 2))) + 0.1
         ctx = make_ctx(sample, 5, [1.0, 1.0], [1.0, 1.0], gamma=[0.5, -0.2])
-        with pytest.raises(HeavyTailError):
+        with pytest.raises(HeavyTailError) as exc:
             rho_hat(ctx, np.array([np.sqrt(0.5), np.sqrt(0.5)]))
+        assert "marginal 1 has tail index -0.2 <= 0" in str(exc.value)
+        assert "np.float64" not in str(exc.value)
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(5)
@@ -154,3 +158,47 @@ class TestUnionExceedanceCounts:
             counts = stdf.union_exceedance_counts(sample, thresholds)
             assert counts.dtype == np.int64
             assert counts.tolist() == [counting_oracle(sample, t) for t in thresholds]
+
+
+# Integer cells make ties between rows and thresholds common; the special
+# values check strict comparison against infinities and that nan is never
+# exceeded (nor exceeds).
+_CELL = st.sampled_from([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, np.inf, -np.inf, np.nan])
+# row counts around the powers of two that bound the merge-sort tree levels
+_ROWS = st.one_of(st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33]),
+                  st.integers(0, 80))
+
+
+class TestSortedCounting:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2), _ROWS, st.integers(0, 40), st.data())
+    def test_matches_counting_oracle(self, d, n, q, data):
+        sample = np.array(data.draw(st.lists(_CELL, min_size=n * d, max_size=n * d)))
+        thresholds = np.array(data.draw(st.lists(_CELL, min_size=q * d, max_size=q * d)))
+        sample, thresholds = sample.reshape(n, d), thresholds.reshape(q, d)
+        counts = stdf._exceedances_by_sorting(sample, thresholds)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [counting_oracle(sample, t) for t in thresholds]
+
+    @pytest.mark.parametrize("d, n, q, sorted_path", [
+        (1, 300, 15, False), (1, 300, 16, True),
+        (2, 511, 1024, False), (2, 512, 1023, False), (2, 512, 1024, True),
+        (2, 3000, 4000, True), (3, 600, 2000, False),
+    ])
+    def test_chosen_path_matches_comparison(self, d, n, q, sorted_path, monkeypatch):
+        calls = []
+        real = stdf._exceedances_by_sorting
+        monkeypatch.setattr(stdf, "_exceedances_by_sorting",
+                            lambda s, t: calls.append(1) or real(s, t))
+        rng = np.random.default_rng(n + q + d)
+        for sample, thresholds in [
+            (rng.standard_t(3, (n, d)), rng.standard_t(3, (q, d))),
+            (rng.integers(0, 20, (n, d)).astype(float),
+             rng.integers(-1, 21, (q, d)).astype(float)),
+        ]:
+            thresholds[::7] = sample[rng.integers(0, n, thresholds[::7].shape[0])]
+            got = stdf.union_exceedance_counts(sample, thresholds)
+            want = stdf._exceedances_by_comparison(sample, thresholds)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+        assert len(calls) == (2 if sorted_path else 0)
