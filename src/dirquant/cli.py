@@ -71,6 +71,38 @@ def parse_csv(path: str, has_header: bool = False) -> np.ndarray:
         lines = lines[1:]
     if not lines:
         raise DataError(f"{path}: no data rows")
+    data = _parse_cells(lines)
+    if data is None:
+        data = _parse_rows(path, lines)
+    finite = np.isfinite(data)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise DataError(
+            f"{path}: non-finite cell at row {i + 1}, column {j + 1}: "
+            f"{lines[i].split(',')[j]!r}"
+        )
+    return data
+
+
+def _parse_cells(lines: list[str]) -> Optional[np.ndarray]:
+    """All cells in one conversion, or None on a ragged row or a bad cell.
+
+    numpy converts each str cell with Python's ``float``, so this accepts
+    exactly what ``_parse_rows`` accepts; on None the caller reruns that
+    loop for its error message.
+    """
+    commas = lines[0].count(",")
+    if any(ln.count(",") != commas for ln in lines):
+        return None
+    try:
+        cells = np.array(",".join(lines).split(","), dtype=float)
+    except ValueError:
+        return None
+    return cells.reshape(len(lines), commas + 1)
+
+
+def _parse_rows(path: str, lines: list[str]) -> np.ndarray:
+    """Cell-by-cell conversion that names the first bad row or cell."""
     rows = []
     width = None
     for i, ln in enumerate(lines):
@@ -90,15 +122,7 @@ def parse_csv(path: str, has_header: bool = False) -> np.ndarray:
                     f"{path}: non-numeric cell at row {i + 1}, column {j + 1}: {cell!r}"
                 ) from None
         rows.append(row)
-    data = np.asarray(rows, dtype=float)
-    finite = np.isfinite(data)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise DataError(
-            f"{path}: non-finite cell at row {i + 1}, column {j + 1}: "
-            f"{lines[i].split(',')[j]!r}"
-        )
-    return data
+    return np.asarray(rows, dtype=float)
 
 
 def parse_alpha(text: str) -> float:
@@ -480,9 +504,9 @@ def cmd_oracle_t(cfg: RunConfig) -> int:
     rotated = rotate_elliptical(params, r)
     gamma = params.gamma
     ab = [theoretical_norm_sequences(rotated, j, t_anchor) for j in range(params.d)]
+    rhos = theoretical_rho(grid.thetas, params, u)
     points = []
-    for theta in grid.thetas:
-        rho = theoretical_rho(theta, params, u)
+    for theta, rho in zip(grid.thetas, rhos.tolist()):
         x_rot = asymptotic_point(rho, theta, ab, gamma, alpha, t_anchor)
         x_orig = r.entries.T @ x_rot
         points.append(
@@ -537,7 +561,7 @@ def run_mc_study(cfg: RunConfig) -> dict:
     r = rotation_for(u)
     theta_star = np.ones(params.d) / np.sqrt(params.d)
 
-    rho_theory = np.array([theoretical_rho(t, params, u) for t in grid.thetas])
+    rho_theory = theoretical_rho(grid.thetas, params, u)
 
     def one(rep: int):
         # a replicate whose tail fit cannot support extrapolation, or whose

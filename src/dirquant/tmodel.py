@@ -6,6 +6,16 @@ from (d-1)-dimensional t distribution functions. That makes it the
 reference model for validating the empirical pipeline: theoretical
 radii, normalization sequences and asymptotic quantile points are all
 computable to high accuracy.
+
+Bivariate t distribution functions (the three-dimensional stable tail
+dependence function needs three per angle) come from one vectorised
+kernel: the outer coordinate is mapped onto a finite angle, the range is
+split at the kink of the inner t distribution function, and a fixed
+141-node tanh-sinh rule (Takahasi and Mori, 1974) is applied to each
+part, with every node of every angle in one ``special.stdtr`` call. Its
+absolute error is below 1e-13 for the degrees of freedom the model uses
+(1e-12 down to nu = 0.7). Normalization sequences use the inverse t
+distribution function ``special.stdtrit``.
 """
 
 from __future__ import annotations
@@ -14,19 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
-from .errors import (
-    DegenerateModelError,
-    InversionError,
-    UnsupportedDimensionError,
-)
+from .errors import DegenerateModelError, InversionError, UnsupportedDimensionError
 from .geometry import Direction, RotationMatrix, rotation_for
-
-# Quadrature request for the bivariate t distribution function; the
-# documented guarantee is 1e-8 absolute, requested tighter for headroom.
-_QUAD_ABS_TOL = 1e-10
-_QUAD_REL_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -109,52 +110,94 @@ def fpc_direction(sigma) -> Direction:
     return Direction(lead / np.linalg.norm(lead))
 
 
-def _t_pdf_1d(x: float, nu: float) -> float:
-    return math.exp(
-        math.lgamma((nu + 1.0) / 2.0)
-        - math.lgamma(nu / 2.0)
-        - 0.5 * math.log(nu * math.pi)
-        - (nu + 1.0) / 2.0 * math.log1p(x * x / nu)
-    )
+def _tanh_sinh_rule(step: float, t_max: float):
+    """Tanh-sinh nodes and weights on [0, 1] (Takahasi and Mori, 1974).
+
+    Node k sits at s_k = (1 + tanh(pi/2 sinh(k step))) / 2 for |k step| <=
+    t_max, computed so that nodes next to 0 keep full relative precision:
+    there sin(psi)^(nu-1) is singular for nu < 1.
+    """
+    t = np.arange(-round(t_max / step), round(t_max / step) + 1) * step
+    u = 0.5 * np.pi * np.sinh(t)
+    s = 1.0 / (1.0 + np.exp(-2.0 * u))
+    w = step * 0.25 * np.pi * np.cosh(t) / np.cosh(u) ** 2
+    return s, w
 
 
-def t_cdf_1d(x: float, nu: float) -> float:
-    """Univariate t distribution function via the regularized incomplete beta."""
-    if math.isnan(x):
-        return math.nan
-    if math.isinf(x):
-        return 1.0 if x > 0 else 0.0
-    tail = 0.5 * special.betainc(nu / 2.0, 0.5, nu / (nu + x * x))
-    return 1.0 - tail if x >= 0 else float(tail)
+# One fixed rule of 141 nodes per part. Against 40-digit mpmath values at
+# 504 points (nu from 0.7 to 30, |r| <= 0.99, |x| up to 1e3) its largest
+# absolute error was 7e-13 at nu = 0.7, 7e-14 at nu = 1 and 4e-16 for
+# nu >= 2. t_stdf calls it with nu + 1 > 1 for a model with nu > 0.
+_TS_S, _TS_W = _tanh_sinh_rule(1.0 / 20.0, 3.5)
+# Nodes whose weight (density factor included) lies below this are not
+# evaluated: the t distribution function they multiply is at most 1, so
+# together they add less than 3e-17.
+_NEGLIGIBLE_WEIGHT = 1e-19
+# Distribution functions per block, which bounds the node temporaries to
+# a few megabytes.
+_BLOCK = 2048
 
 
-def _t_cdf_2d(x1: float, x2: float, r: float, nu: float) -> float:
-    if abs(r) >= 1.0:
-        raise DegenerateModelError(f"|correlation| = {abs(r)!r} >= 1 is degenerate")
-    if math.isinf(x1) and x1 < 0 or math.isinf(x2) and x2 < 0:
-        return 0.0
-    if math.isinf(x1):
-        return t_cdf_1d(x2, nu)
-    if math.isinf(x2):
-        return t_cdf_1d(x1, nu)
-    scale = (nu + 1.0) / (1.0 - r * r)
+def _t2_cdf(x1, x2, r, nu: float) -> np.ndarray:
+    """Bivariate standard t distribution function for arrays of arguments.
 
-    def integrand(s: float) -> float:
-        arg = (x2 - r * s) * math.sqrt(scale / (nu + s * s))
-        return _t_pdf_1d(s, nu) * t_cdf_1d(arg, nu + 1.0)
+    x1, x2 and r broadcast together (|r| < 1); nu is one positive degree
+    of freedom. With s = sqrt(nu) tan(psi - pi/2), the integral of the
+    density over (-inf, x1] becomes
 
-    value, _ = integrate.quad(
-        integrand, -np.inf, x1, epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL, limit=200
-    )
-    return float(min(max(value, 0.0), 1.0))
+        int_0^psi_hi c sin^(nu-1)(psi) T_{nu+1}(k (x2 sin psi + r sqrt(nu) cos psi)) dpsi
+
+    with psi_hi = atan2(sqrt(nu), -x1), c = 1 / B(nu/2, 1/2) and
+    k = sqrt((nu+1) / (nu (1-r^2))). The range is split where the inner
+    argument changes sign, each part gets the tanh-sinh rule, and every
+    node of every argument goes through one ``special.stdtr`` call per
+    block. The one-dimensional integral over the conditional t
+    distribution function is the one Genz (2004) evaluates. An infinite
+    argument reduces the value to the univariate t distribution function
+    of the other one.
+    """
+    x1, x2, r = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (x1, x2, r)))
+    out = np.asarray(np.minimum(special.stdtr(nu, x1), special.stdtr(nu, x2)))
+    finite = np.isfinite(x1) & np.isfinite(x2)
+    a1, a2, ar = x1[finite], x2[finite], r[finite]
+    values = np.empty(a1.shape)
+    for lo in range(0, a1.size, _BLOCK):
+        part = slice(lo, lo + _BLOCK)
+        values[part] = _t2_cdf_block(a1[part], a2[part], ar[part], nu)
+    out[finite] = values
+    return out
+
+
+def _t2_cdf_block(x1, x2, r, nu: float) -> np.ndarray:
+    root_nu = math.sqrt(nu)
+    x2, r = x2[:, None, None], r[:, None, None]
+    hi = np.arctan2(root_nu, -x1)[:, None, None]
+    # the inner argument x2 sin(psi) + r sqrt(nu) cos(psi) has one zero in [0, pi)
+    cut = np.minimum(np.mod(np.arctan2(r * root_nu, -x2), np.pi), hi)
+    start = np.concatenate([np.zeros_like(cut), cut], axis=1)    # parts [0, cut], [cut, hi]
+    length = np.concatenate([cut, hi - cut], axis=1)
+    psi = start + length * _TS_S
+    sin_psi = np.sin(psi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # sin(psi)^(nu-1) is infinite at psi = 0 for nu < 1, where the
+        # part has zero length
+        weight = (length * _TS_W) * sin_psi ** (nu - 1.0) / special.beta(0.5 * nu, 0.5)
+    keep = weight > _NEGLIGIBLE_WEIGHT
+    k = np.sqrt((nu + 1.0) / (nu * (1.0 - r) * (1.0 + r)))
+    arg = k * (x2 * sin_psi + r * root_nu * np.cos(psi))
+    terms = np.zeros(weight.shape)
+    terms[keep] = weight[keep] * special.stdtr(nu + 1.0, arg[keep])
+    return np.clip(terms.reshape(len(x1), -1).sum(axis=1), 0.0, 1.0)
 
 
 def t_cdf(x, corr, nu: float) -> float:
     """Distribution function of a standardized t in dimension 1 or 2.
 
-    Dimension 1 uses the incomplete-beta identity; dimension 2 integrates
-    the conditional univariate t over the first coordinate (absolute
-    tolerance 1e-8 or better).
+    Dimension 1 is ``special.stdtr``. Dimension 2 maps the first
+    coordinate to a finite angle and applies a fixed 141-node tanh-sinh
+    rule on each side of the kink of the conditional t distribution
+    function (see ``_t2_cdf``); its absolute error is below 1e-13 for
+    nu >= 1 and below 1e-12 down to nu = 0.7.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     corr = np.atleast_2d(np.asarray(corr, dtype=float))
@@ -162,22 +205,32 @@ def t_cdf(x, corr, nu: float) -> float:
     if corr.shape != (d, d):
         raise ValueError(f"correlation shape {corr.shape} does not match point size {d}")
     if d == 1:
-        return t_cdf_1d(float(x[0]), nu)
+        return float(special.stdtr(nu, x[0]))
     if d == 2:
-        return _t_cdf_2d(float(x[0]), float(x[1]), float(corr[0, 1]), nu)
+        r = float(corr[0, 1])
+        if abs(r) >= 1.0:
+            raise DegenerateModelError(f"|correlation| = {abs(r)!r} >= 1 is degenerate")
+        return float(_t2_cdf(x[0], x[1], r, nu))
     raise UnsupportedDimensionError(f"t_cdf supports dimensions 1 and 2, got {d}")
 
 
-def t_stdf(z, corr, nu: float) -> float:
+def t_stdf(z, corr, nu: float):
     """Stable tail dependence function of the t model (dimensions 2 and 3).
 
     Homogeneous of degree -1 in z; each term pairs a Frechet weight 1/z_j
     with a (d-1)-dimensional t distribution function at df nu+1 evaluated
-    on partial-correlation scale.
+    on partial-correlation scale. ``z`` is one point (d,), for which a
+    float is returned, or a stack (g, d), for which an array of g values
+    is returned; each row equals the single-point value bit for bit. In
+    dimension 3 all bivariate t distribution functions of the stack go
+    through one vectorised tanh-sinh evaluation (see ``t_cdf``), whose
+    absolute error per term is below 1e-13.
     """
     z = np.asarray(z, dtype=float)
     corr = np.asarray(corr, dtype=float)
-    d = z.size
+    if z.ndim not in (1, 2):
+        raise ValueError(f"z must be one point or a stack of points, got shape {z.shape}")
+    d = z.shape[-1]
     if d not in (2, 3):
         raise UnsupportedDimensionError(f"t_stdf supports d in {{2, 3}}, got {d}")
     if (z <= 0).any():
@@ -185,77 +238,63 @@ def t_stdf(z, corr, nu: float) -> float:
     off = corr[~np.eye(d, dtype=bool)]
     if (np.abs(off) >= 1.0).any():
         raise DegenerateModelError("comonotone-degenerate correlation |r| >= 1")
+    zs = z.reshape(-1, d)
+    # row j lists the coordinates other than j
+    others = np.array([[i for i in range(d) if i != j] for j in range(d)])
+    r_oj = corr[others, np.arange(d)[:, None]]
+    ratio = zs[:, others] / zs[:, :, None]
+    args = np.sqrt((nu + 1.0) / (1.0 - r_oj**2)) * (ratio ** (1.0 / nu) - r_oj)
+    if d == 2:
+        terms = special.stdtr(nu + 1.0, args[:, :, 0])
+    else:
+        r_i, r_l = r_oj[:, 0], r_oj[:, 1]
+        partial = (corr[others[:, 0], others[:, 1]] - r_i * r_l) / (
+            np.sqrt(1.0 - r_i**2) * np.sqrt(1.0 - r_l**2))
+        terms = _t2_cdf(args[:, :, 0], args[:, :, 1], partial, nu + 1.0)
     total = 0.0
     for j in range(d):
-        others = [i for i in range(d) if i != j]
-        args = np.array(
-            [
-                math.sqrt((nu + 1.0) / (1.0 - corr[i, j] ** 2))
-                * ((z[i] / z[j]) ** (1.0 / nu) - corr[i, j])
-                for i in others
-            ]
-        )
-        if d == 2:
-            term = t_cdf_1d(float(args[0]), nu + 1.0)
-        else:
-            i, l = others
-            partial = (corr[i, l] - corr[i, j] * corr[l, j]) / (
-                math.sqrt(1.0 - corr[i, j] ** 2) * math.sqrt(1.0 - corr[l, j] ** 2)
-            )
-            q = np.array([[1.0, partial], [partial, 1.0]])
-            term = t_cdf(args, q, nu + 1.0)
-        total += term / z[j]
-    return float(total)
+        total = total + terms[:, j] / zs[:, j]
+    return float(total[0]) if z.ndim == 1 else total
 
 
-def theoretical_rho(theta, params: TParams, u: Direction) -> float:
-    """Theoretical scalar radius of the rotated model at interior angle theta."""
+def _model_rho(theta, rotated: TParams):
     theta = np.asarray(theta, dtype=float)
     if (theta <= 0).any():
         raise ValueError("theta must be interior (all components positive)")
-    rotated = rotate_elliptical(params, rotation_for(u))
-    return t_stdf(theta, rotated.correlation(), params.nu)
+    return t_stdf(theta, rotated.correlation(), rotated.nu)
+
+
+def theoretical_rho(theta, params: TParams, u: Direction):
+    """Theoretical scalar radius of the rotated model at interior angles.
+
+    ``theta`` is one angle (d,), giving a float, or a stack (g, d), giving
+    g radii; the model is rotated once per call.
+    """
+    return _model_rho(theta, rotate_elliptical(params, rotation_for(u)))
 
 
 def theoretical_norm_sequences(params: TParams, j: int, t: float):
     """Normalization pair (a_j(t), b_j(t)) for the j-th marginal of the model.
 
-    b_j(t) is the marginal (1 - 1/t)-quantile found by bisecting the
-    univariate t distribution function; a_j(t) = gamma * b_j(t), the
-    first-order scale of a gamma > 0 tail.
+    b_j(t) is the marginal (1 - 1/t)-quantile, from the inverse univariate
+    t distribution function; a_j(t) = gamma * b_j(t), the first-order
+    scale of a gamma > 0 tail.
     """
     if not t > 1.0:
         raise ValueError(f"t must exceed 1, got {t!r}")
     loc = float(params.mu[j])
     scale = math.sqrt(float(params.sigma[j, j]))
-    target = 1.0 - 1.0 / t
-
-    def cdf(x: float) -> float:
-        return t_cdf_1d((x - loc) / scale, params.nu)
-
-    if cdf(0.0) >= target:
+    b = loc + scale * float(special.stdtrit(params.nu, 1.0 - 1.0 / t))
+    if not b > 0.0:
         raise ValueError(
             f"marginal quantile at level 1 - 1/{t!r} is not positive; t is too "
             "small for tail normalization"
         )
-    lo, hi = 0.0, max(loc, 0.0) + scale
-    grow = 0
-    while cdf(hi) < target:
-        lo, hi = hi, 2.0 * hi + scale
-        grow += 1
-        if grow > 200:
-            raise InversionError("quantile bracket expansion failed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-10:
-            break
-    else:
-        raise InversionError("quantile bisection did not reach 1e-10 in 200 steps")
-    b = 0.5 * (lo + hi)
+    if not math.isfinite(b):
+        raise InversionError(
+            f"marginal quantile at level 1 - 1/{t!r} is not finite: the level "
+            "rounds to 1"
+        )
     return params.gamma * b, b
 
 
@@ -267,7 +306,7 @@ def asymptotic_quantile(params: TParams, u: Direction, alpha: float, theta, t: f
     """
     theta = np.asarray(theta, dtype=float)
     rotated = rotate_elliptical(params, rotation_for(u))
-    rho = theoretical_rho(theta, params, u)
+    rho = _model_rho(theta, rotated)
     ab = [theoretical_norm_sequences(rotated, j, t) for j in range(params.d)]
     return asymptotic_point(rho, theta, ab, params.gamma, alpha, t)
 

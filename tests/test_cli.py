@@ -68,6 +68,35 @@ class TestParsers:
         with pytest.raises(DataError, match="non-finite cell at row 2, column 2: 'inf'"):
             parse_csv(str(p), has_header=True)
 
+    def test_parse_csv_accepts_what_float_accepts(self, tmp_path, monkeypatch):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"# comment\r\nx1,x2\r\n\r\n 1 , +1\r\n  \r\n# 9,9\r\n"
+                      b"1e5,1_000\r\n-2.5e-3,.5\r\n")
+        # the one-pass conversion reads this file without the row loop
+        monkeypatch.setattr(cli, "_parse_rows", None)
+        got = parse_csv(str(p), has_header=True)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, [[1.0, 1.0], [1e5, 1000.0], [-2.5e-3, 0.5]])
+
+    @pytest.mark.parametrize("text, message", [
+        ("x1,x2\n1,2\n", "non-numeric cell at row 1, column 1: 'x1'"),
+        ("1,2\n3\n4,5\n", "ragged row 2: expected 2 cells, got 1"),
+        ("1,2\n3,4,5\n", "ragged row 2: expected 2 cells, got 3"),
+        ("1,2\n3,1__0\n", "non-numeric cell at row 2, column 2: '1__0'"),
+        ("1,2\n3,\n", "non-numeric cell at row 2, column 2: ''"),
+        ("1,2\n0x10,4\n", "non-numeric cell at row 2, column 1: '0x10'"),
+        ("1,2\n3, nan\n", "non-finite cell at row 2, column 2: ' nan'"),
+        ("1,-inf\n3,4\n", "non-finite cell at row 1, column 2: '-inf'"),
+        ("1,2\n3,1e400\n", "non-finite cell at row 2, column 2: '1e400'"),
+        ("# only\n\n", "no data rows"),
+    ])
+    def test_parse_csv_error_messages(self, tmp_path, text, message):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(DataError) as info:
+            parse_csv(str(p))
+        assert str(info.value) == f"{p}: {message}"
+
     def test_parse_alpha_fraction(self):
         assert parse_alpha("1/1250") == pytest.approx(8e-4)
         assert parse_alpha("1/5000") == pytest.approx(2e-4)
@@ -266,7 +295,7 @@ class TestCommands:
         m3 = ["--mu", "0,0,0", "--sigma", "1,0.5,0.2,0.5,1,0.3,0.2,0.3,1", "--nu", "4"]
         assert main(["oracle-t", *m3, "--alpha", "1/5000", "--n", "5000", "--k", "100",
                      "--grid", "3", "--direction", "fpc", "--output", str(out)]) == 0
-        assert calls == {"theoretical_rho": 9, "theoretical_norm_sequences": 3}
+        assert calls == {"theoretical_rho": 1, "theoretical_norm_sequences": 3}
         monkeypatch.undo()
         doc = json.loads(out.read_text())
         sigma = [[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]]

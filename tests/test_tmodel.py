@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, special, stats
 from scipy.integrate import dblquad
 
 from dirquant import (
     DegenerateModelError,
     InvalidDirectionError,
+    InversionError,
     TParams,
     UnsupportedDimensionError,
     asymptotic_quantile,
@@ -26,9 +27,48 @@ from dirquant import (
     theoretical_rho,
 )
 from dirquant.evt import TailFit, gamma_moment
-from dirquant.tmodel import _sqrtm_spd
+from dirquant.quantile import theta_grid
+from dirquant.tmodel import _sqrtm_spd, _t2_cdf
 
 SQ2 = math.sqrt(2.0) / 2.0
+SIGMA_3D = np.array([[5.0, 2.44, -1.88], [2.44, 2.12, 0.04], [-1.88, 0.04, 2.36]])
+
+
+def quad_t2_cdf(x1, x2, r, nu):
+    """Reference bivariate t distribution function by adaptive quadrature.
+
+    Integrates the univariate t density times the conditional t
+    distribution function of the second coordinate, split at the kink
+    x2 / r. Each integral stays on one side of 0: for x1 > 0 the value is
+    T(x2) minus the integral over [x1, inf), since a range from 0 to a
+    large x1 holds nearly all the mass in a narrow part of a long
+    interval, where quad misses it.
+    """
+    if x1 == -math.inf or x2 == -math.inf:
+        return 0.0
+    if x1 == math.inf:
+        return float(special.stdtr(nu, x2))
+    if x2 == math.inf:
+        return float(special.stdtr(nu, x1))
+    log_c = math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2) - 0.5 * math.log(nu * math.pi)
+    scale = (nu + 1.0) / (1.0 - r * r)
+
+    def integrand(s):
+        density = math.exp(log_c - (nu + 1.0) / 2.0 * math.log1p(s * s / nu))
+        arg = (x2 - r * s) * math.sqrt(scale / (nu + s * s))
+        return density * special.stdtr(nu + 1.0, arg)
+
+    kink = {x2 / r} if r else set()
+    if x1 <= 0.0:
+        edges = [-math.inf, *sorted(c for c in kink if c < x1), x1]
+        sign, total = 1.0, 0.0
+    else:
+        edges = [x1, *sorted(c for c in kink if c > x1), math.inf]
+        sign, total = -1.0, float(special.stdtr(nu, x2))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        value, _ = integrate.quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
+        total += sign * value
+    return total
 
 
 class TestTParams:
@@ -182,6 +222,84 @@ class TestTCdf:
             t_cdf([0.0, 0.0, 0.0], np.eye(3), 4.0)
 
 
+class TestBivariateKernel:
+    NUS = (0.7, 1.0, 2.0, 3.0, 4.0, 7.5, 30.0)
+    RS = (-0.99, -0.6, 0.0, 0.45, 0.99)
+    X1S = (-1e3, -6.0, -0.5, 0.0, 0.8, 3.0, 1e3)
+    X2S = (-1e3, -2.0, 0.3, 4.0, 1e3)
+    INFINITE = ((-np.inf, 1.0), (1.0, -np.inf), (np.inf, -2.0), (0.5, np.inf),
+                (np.inf, np.inf))
+
+    # quad reports roundoff on values near 1e-12 (x2 = -1e3 at nu = 4)
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("nu", NUS)
+    def test_matches_quad_reference(self, nu):
+        pairs = [(x1, x2) for x1 in self.X1S for x2 in self.X2S] + list(self.INFINITE)
+        x1, x2, r = (np.array(v) for v in zip(*[(a, b, r) for r in self.RS
+                                                for a, b in pairs]))
+        got = _t2_cdf(x1, x2, r, nu)
+        want = np.array([quad_t2_cdf(*args, nu) for args in zip(x1, x2, r)])
+        assert np.abs(got - want).max() <= 1e-10
+
+    @pytest.mark.parametrize("nu", (1.0, 4.0, 5.0))
+    def test_large_first_argument(self, nu):
+        # the mass sits near 0, far inside a range that reaches past 200
+        for x1 in (200.0, 300.0, 425.0):
+            for x2 in (-3.0, 0.0, 4.725, 50.0):
+                for r in (-0.88, 0.0, 0.6):
+                    got = t_cdf([x1, x2], [[1.0, r], [r, 1.0]], nu)
+                    assert got == pytest.approx(quad_t2_cdf(x1, x2, r, nu), abs=1e-10)
+
+    def test_large_first_argument_hand_value(self):
+        got = t_cdf([424.9, 4.725], [[1.0, -0.88], [-0.88, 1.0]], 4.0)
+        assert got == pytest.approx(0.99543, abs=1e-5)
+
+    def test_broadcasting_and_scalar_arguments(self):
+        x1 = np.array([[-1.0, 0.5], [2.0, np.inf]])
+        got = _t2_cdf(x1, 0.3, np.array([0.2, -0.4]), 3.0)
+        assert got.shape == (2, 2)
+        for i, j in np.ndindex(2, 2):
+            one = _t2_cdf(x1[i, j], 0.3, [0.2, -0.4][j], 3.0)
+            assert one.shape == ()
+            assert one == got[i, j]
+
+    def test_nan_propagates(self):
+        assert np.isnan(_t2_cdf(np.nan, 1.0, 0.5, 3.0))
+        assert np.isnan(_t2_cdf(1.0, np.nan, 0.5, 3.0))
+
+    def test_against_high_precision_integral(self):
+        mp = pytest.importorskip("mpmath")
+
+        def reference(x1, x2, r, nu):
+            with mp.workdps(30):
+                x1, x2, r, nu = (mp.mpf(v) for v in (x1, x2, r, nu))
+                half = mp.mpf(1) / 2
+
+                def cdf(x, df):
+                    tail = mp.betainc(df / 2, half, 0, df / (df + x * x),
+                                      regularized=True) / 2
+                    return 1 - tail if x > 0 else tail
+
+                c = mp.gamma((nu + 1) / 2) / (mp.gamma(nu / 2) * mp.sqrt(nu * mp.pi))
+                scale = (nu + 1) / (1 - r * r)
+
+                def integrand(s):
+                    arg = (x2 - r * s) * mp.sqrt(scale / (nu + s * s))
+                    return c * (1 + s * s / nu) ** (-(nu + 1) / 2) * cdf(arg, nu + 1)
+
+                kink = [x2 / r] if r else []
+                if x1 <= 0:
+                    edges = [-mp.inf, *sorted(k for k in kink if k < x1), x1]
+                    return float(mp.quad(integrand, edges))
+                edges = [x1, *sorted(k for k in kink if k > x1), mp.inf]
+                return float(cdf(x2, nu) - mp.quad(integrand, edges))
+
+        for args in [(0.5, 1.2, 0.3, 4.0), (2.0, -0.7, -0.5, 3.0), (-1.5, 2.5, 0.9, 5.0),
+                     (424.9, 4.725, -0.88, 4.0), (3.0, 3.0, -0.99, 1.0),
+                     (0.0, 0.7, 0.6, 7.5)]:
+            assert abs(float(_t2_cdf(*args)) - reference(*args)) <= 1e-13
+
+
 class TestTStdf:
     def test_hand_value_2d_uncorrelated(self):
         # sum of two Frechet weights times T(2) at 4 degrees of freedom
@@ -253,6 +371,28 @@ class TestTheoreticalRho:
         # perfect dependence leaves a single Frechet coordinate
         assert got == pytest.approx(math.sqrt(2.0), abs=1e-4)
 
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_stacked_rows_equal_single_calls(self, d, params_2d):
+        params = params_2d if d == 2 else TParams(np.zeros(3), SIGMA_3D, 4.0)
+        u = fpc_direction(params.sigma)
+        thetas = theta_grid(d, 9 if d == 2 else 5, 0.01).thetas
+        stacked = theoretical_rho(thetas, params, u)
+        assert stacked.shape == (len(thetas),)
+        for theta, rho in zip(thetas, stacked):
+            single = theoretical_rho(theta, params, u)
+            assert isinstance(single, float)
+            assert single == rho
+
+    @pytest.mark.parametrize("nu", (1.0, 1.5, 2.0, 4.0))
+    def test_dependence_bounds_on_default_grid(self, nu):
+        # large first arguments of the bivariate terms once broke these
+        params = TParams(np.zeros(3), SIGMA_3D, nu)
+        thetas = theta_grid(3, 16, 0.01).thetas
+        rho = theoretical_rho(thetas, params, fpc_direction(SIGMA_3D))
+        inv = 1.0 / thetas
+        assert (inv.max(axis=1) <= rho + 1e-12).all()
+        assert (rho <= inv.sum(axis=1) + 1e-12).all()
+
     def test_boundary_theta_rejected(self, params_2d):
         with pytest.raises(ValueError):
             theoretical_rho(np.array([1.0, 0.0]), params_2d, diagonal_direction(2))
@@ -263,6 +403,23 @@ class TestTheoreticalNormSequences:
         params = TParams(np.zeros(2), np.eye(2), 3.0)
         with pytest.raises(ValueError, match="not positive"):
             theoretical_norm_sequences(params, 0, 2.0)
+
+    @pytest.mark.parametrize("nu, t", [(3.0, 1000.0), (4.0, 50.0), (1.5, 200.0)])
+    def test_unit_scale_quantile_equals_ppf(self, nu, t):
+        params = TParams(np.zeros(2), np.eye(2), nu)
+        a, b = theoretical_norm_sequences(params, 1, t)
+        assert b == stats.t.ppf(1.0 - 1.0 / t, nu)
+        assert a == params.gamma * b
+
+    def test_level_rounding_to_one_rejected(self):
+        params = TParams(np.zeros(2), np.eye(2), 3.0)
+        with pytest.raises(InversionError, match="not finite"):
+            theoretical_norm_sequences(params, 0, 1e17)
+
+    def test_t_at_most_one_rejected(self):
+        params = TParams(np.zeros(2), np.eye(2), 3.0)
+        with pytest.raises(ValueError, match="must exceed 1"):
+            theoretical_norm_sequences(params, 0, 1.0)
 
     def test_scale_equivariance(self):
         p1 = TParams(np.zeros(2), np.diag([1.0, 1.0]), 3.0)
