@@ -48,11 +48,12 @@ from .geometry import (
     rotation_for,
 )
 from .quantile import (
+    DirectionalFit,
     OutlierFlags,
     QuantileSurface,
-    SurfacePoint,
     ThetaGrid,
     estimate_surface,
+    fit_direction,
     flag_outliers,
     quantile_point,
     shift_surface,
@@ -62,8 +63,8 @@ from .quantile import (
 )
 from .stdf import RhoEstimate, StdfContext, empirical_neg_log_G, rho_hat, rho_hat_batch
 from .tmodel import (
+    ModelFit,
     TParams,
-    asymptotic_point,
     asymptotic_quantile,
     fpc_direction,
     relative_error,
@@ -83,14 +84,14 @@ __all__ = [
     "MarginalOrderStats", "TailFit", "log_moment", "gamma_moment", "joint_gamma",
     "norm_sequences", "fit_tails",
     "StdfContext", "RhoEstimate", "empirical_neg_log_G", "rho_hat", "rho_hat_batch",
-    "ThetaGrid", "theta_grid", "quantile_point", "QuantileSurface", "SurfacePoint",
-    "estimate_surface", "shift_surface", "tail_level", "tail_levels",
-    "flag_outliers", "OutlierFlags",
+    "ThetaGrid", "theta_grid", "quantile_point", "QuantileSurface",
+    "DirectionalFit", "fit_direction", "estimate_surface", "shift_surface",
+    "tail_level", "tail_levels", "flag_outliers", "OutlierFlags",
     "KSelection", "bootstrap_error", "optimal_k_from_resamples",
     "optimal_k_for_size", "convergence_rate", "select_k",
     "TParams", "sample_t", "rotate_elliptical", "fpc_direction", "t_cdf", "t_stdf",
     "theoretical_rho", "theoretical_norm_sequences", "asymptotic_quantile",
-    "asymptotic_point", "relative_error",
+    "ModelFit", "relative_error",
     "DirquantError", "DataError", "NumericalError", "InvalidDirectionError",
     "PositivityError", "HeavyTailError", "DegenerateMomentsError",
     "DegenerateModelError", "UnsupportedDimensionError", "ResamplingError",

@@ -29,11 +29,12 @@ import numpy as np
 
 from .bootstrap import select_k
 from .errors import DataError, DirquantError, NumericalError
+from .evt import extrapolate
 from .geometry import Direction, diagonal_direction, rotate, rotation_for
 from .quantile import (
     QuantileSurface,
-    StdfContext,
     estimate_surface,
+    fit_direction,
     flag_outliers,
     quantile_point,
     shift_surface,
@@ -41,8 +42,8 @@ from .quantile import (
 )
 from .stdf import rho_hat_batch
 from .tmodel import (
+    ModelFit,
     TParams,
-    asymptotic_point,
     asymptotic_quantile,
     fpc_direction,
     relative_error,
@@ -438,7 +439,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
     _write_text(cfg.output, text)
     report = {
         "warnings": _collect_warnings(rec),
-        "floored_points": int(sum(p.floored for p in surface.points)),
+        "floored_points": int(surface.floored.sum()),
         "k_selection": None if surface.k_selection is None else surface.k_selection.to_dict(),
         "centered": offset is not None,
     }
@@ -496,45 +497,22 @@ def cmd_oracle_t(cfg: RunConfig) -> int:
     k = parse_k(cfg.k)
     if k == "auto":
         raise ValueError("oracle-t needs an explicit integer --k (anchor t = n/k)")
+    if k < 1:
+        raise ValueError(f"oracle-t needs --k >= 1, got {k}")
     alpha = parse_alpha(cfg.alpha)
     u = parse_direction(cfg.direction, params.d, model_sigma=params.sigma)
     grid = theta_grid(params.d, cfg.grid, cfg.delta)
     t_anchor = cfg.n / k
     r = rotation_for(u)
     rotated = rotate_elliptical(params, r)
-    gamma = params.gamma
-    ab = [theoretical_norm_sequences(rotated, j, t_anchor) for j in range(params.d)]
+    a, b = np.array([theoretical_norm_sequences(rotated, j, t_anchor)
+                     for j in range(params.d)]).T
+    fit = ModelFit(k, np.full(params.d, params.gamma), params.gamma, a, b, cfg.n)
     rhos = theoretical_rho(grid.thetas, params, u)
-    points = []
-    for theta, rho in zip(grid.thetas, rhos.tolist()):
-        x_rot = asymptotic_point(rho, theta, ab, gamma, alpha, t_anchor)
-        x_orig = r.entries.T @ x_rot
-        points.append(
-            {
-                "theta": [float(v) for v in theta],
-                "x_rotated": [float(v) for v in x_rot],
-                "x_original": [float(v) for v in x_orig],
-                "rho": float(rho),
-                "floored": False,
-            }
-        )
-    doc = {
-        "alpha": float(alpha),
-        "direction": [float(c) for c in u.components],
-        "k": int(k),
-        "gamma": float(gamma),
-        "points": points,
-        "fit": {
-            "k": int(k),
-            "gamma_marginal": [float(gamma)] * params.d,
-            "gamma": float(gamma),
-            "a": [float(a) for a, _ in ab],
-            "b": [float(b) for _, b in ab],
-            "n": int(cfg.n),
-        },
-        "center_offset": None,
-        "source": "oracle",
-    }
+    x_rot = extrapolate(rhos[:, None] * grid.thetas / (t_anchor * alpha), a, b, fit.gamma)
+    surface = QuantileSurface.from_rotated(alpha, r, grid.thetas, x_rot, rhos,
+                                           np.zeros(len(grid), dtype=bool), fit)
+    doc = surface_doc(surface, source="oracle")
     text = surface_doc_to_csv(doc) if cfg.format == "csv" else _json_text(doc)
     _write_text(cfg.output, text)
     return 0
@@ -557,7 +535,6 @@ def run_mc_study(cfg: RunConfig) -> dict:
     alpha = parse_alpha(cfg.alpha) if cfg.alpha is not None else 1.0 / n
     u = parse_direction(cfg.direction, params.d, model_sigma=params.sigma)
     grid = theta_grid(params.d, cfg.grid, cfg.delta)
-    gamma = params.gamma
     r = rotation_for(u)
     theta_star = np.ones(params.d) / np.sqrt(params.d)
 
@@ -568,25 +545,21 @@ def run_mc_study(cfg: RunConfig) -> dict:
         # numerics fail, is reported as failed instead of aborting the study
         sample = sample_t(params, n, _replicate_seed(cfg.seed, rep, 0))
         try:
-            surface = estimate_surface(
-                sample, u, alpha, grid, parse_k(cfg.k),
-                epsilon=cfg.epsilon, b1=cfg.b1,
-                seed=_replicate_seed(cfg.seed, rep, 1),
-            )
-            ctx = StdfContext(rotate(r, sample), surface.fit)
-            rho_star, _ = rho_hat_batch(ctx, theta_star[None, :])
-            x_hat_star = quantile_point(surface.fit, float(rho_star[0]),
-                                        theta_star, alpha)
+            fitted = fit_direction(sample, u, parse_k(cfg.k), epsilon=cfg.epsilon,
+                                   b1=cfg.b1, seed=_replicate_seed(cfg.seed, rep, 1))
+            surface = fitted.surface(alpha, grid)
+            rho_star, _ = rho_hat_batch(fitted.context, theta_star[None, :])
+            x_hat_star = quantile_point(fitted.fit, float(rho_star[0]), theta_star, alpha)
             x_tilde_star = asymptotic_quantile(params, u, alpha, theta_star,
-                                               n / surface.fit.k)
+                                               n / fitted.fit.k)
         except (DataError, NumericalError) as exc:
             return {"error": f"{type(exc).__name__}: {exc}"}
         return {
             "k_hat": surface.k,
-            "gamma_ratio": surface.fit.gamma_marginal / gamma,
-            "rho_hat": np.array([p.rho for p in surface.points]),
-            "floored": np.array([p.floored for p in surface.points]),
-            "x_original": np.array([p.x_original for p in surface.points]),
+            "gamma_ratio": surface.fit.gamma_marginal / params.gamma,
+            "rho_hat": surface.rho,
+            "floored": surface.floored,
+            "x_original": surface.x_original,
             "re": relative_error(x_tilde_star, x_hat_star),
         }
 
@@ -629,10 +602,10 @@ def run_mc_study(cfg: RunConfig) -> dict:
     t_med = float(np.median([n / res["k_hat"] for res in results]))
     # theoretical surface at the median anchor, reusing the rho curve
     rotated_model = rotate_elliptical(params, r)
-    ab = np.array([theoretical_norm_sequences(rotated_model, j, t_med)
-                   for j in range(d)])
+    a, b = np.array([theoretical_norm_sequences(rotated_model, j, t_med)
+                     for j in range(d)]).T
     bases = rho_theory[:, None] * grid.thetas / (t_med * alpha)
-    x_tilde = ab[:, 0] * (bases**gamma - 1.0) / gamma + ab[:, 1]
+    x_tilde = extrapolate(bases, a, b, params.gamma)
     oracle_pts = x_tilde @ r.entries
     band_header = [f"theta_{j + 1}" for j in range(d)]
     for j in range(d):
@@ -760,6 +733,12 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code of a failed command: the first class of the exception's MRO
+# listed here decides.
+EXIT_CODES = {ValueError: 2, OSError: 2, KeyError: 2, DataError: 3, NumericalError: 4,
+              DirquantError: 4}
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
@@ -768,18 +747,9 @@ def main(argv=None) -> int:
         if cfg.k is not None:
             cfg.k = str(cfg.k)
         return args.func(cfg)
-    except (ValueError, OSError, KeyError) as exc:
+    except tuple(EXIT_CODES) as exc:
         sys.stderr.write(_json_text({"error": type(exc).__name__, "message": str(exc)}))
-        return 2
-    except NumericalError as exc:
-        sys.stderr.write(_json_text({"error": type(exc).__name__, "message": str(exc)}))
-        return 4
-    except DataError as exc:
-        sys.stderr.write(_json_text({"error": type(exc).__name__, "message": str(exc)}))
-        return 3
-    except DirquantError as exc:
-        sys.stderr.write(_json_text({"error": type(exc).__name__, "message": str(exc)}))
-        return 4
+        return next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -82,6 +82,16 @@ class TailFit:
         }
 
 
+def extrapolate(base, a, b, gamma):
+    """Quantile coordinates a (base^gamma - 1)/gamma + b; base is (d,) or (g, d)."""
+    return a * (base**gamma - 1.0) / gamma + b
+
+
+def frechet_weights(x, a, b, gamma):
+    """Inverse of ``extrapolate``; 0 at or below the endpoint b - a/gamma."""
+    return np.maximum(0.0, 1.0 + gamma * (x - b) / a) ** (1.0 / gamma)
+
+
 def _check_k(n: int, k: int):
     if not (1 <= k <= n - 1):
         raise ValueError(f"k={k} outside [1, n-1] for n={n}")

@@ -9,20 +9,20 @@ surface; flagging compares alpha_z against a target level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .bootstrap import KSelection, select_k
 from .errors import DataError, HeavyTailError, PositivityError
-from .evt import TailFit, fit_tails
+from .evt import TailFit, extrapolate, fit_tails, frechet_weights
 from .geometry import Direction, RotationMatrix, rotate, rotation_for
 from .stdf import StdfContext, rho_hat_batch
 
 DEFAULT_GRID_M = 64
 DEFAULT_GRID_DELTA = 0.01
-DEFAULT_MIN_ROWS = 50
+MIN_ROWS = 50
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,11 @@ def theta_grid(d: int, m: int = DEFAULT_GRID_M, delta: float = DEFAULT_GRID_DELT
     return ThetaGrid(out, m, delta, angles=phis)
 
 
-def quantile_point(fit: TailFit, rho: float, theta, alpha: float) -> np.ndarray:
-    """Extrapolated surface point (rotated coordinates) along one angle."""
+def quantile_point(fit: TailFit, rho, theta, alpha: float) -> np.ndarray:
+    """Extrapolated surface points (rotated coordinates).
+
+    One radius and angle (d,) give one point; g radii and angles (g, d) give g rows.
+    """
     theta = np.asarray(theta, dtype=float)
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -97,29 +100,28 @@ def quantile_point(fit: TailFit, rho: float, theta, alpha: float) -> np.ndarray:
             f"marginal {j} tail index {float(gam[j])!r} <= 0; out-sample extrapolation "
             "requires heavy tails"
         )
-    base = (fit.k * rho * theta) / (fit.n * alpha)
+    base = (fit.k * np.asarray(rho, dtype=float)[..., None] * theta) / (fit.n * alpha)
     if (base <= 0).any() or not np.isfinite(base).all():
         raise ValueError(f"non-positive extrapolation base {base!r}")
-    return fit.a * (base**gam - 1.0) / gam + fit.b
-
-
-@dataclass(frozen=True)
-class SurfacePoint:
-    theta: np.ndarray
-    x_rotated: np.ndarray
-    x_original: np.ndarray
-    rho: float
-    floored: bool
+    return extrapolate(base, fit.a, fit.b, gam)
 
 
 @dataclass(frozen=True)
 class QuantileSurface:
-    """Estimated quantile surface at level alpha in one direction."""
+    """Quantile surface at level alpha in one direction.
+
+    ``thetas``, ``x_rotated``, ``x_original``, ``rho`` and ``floored`` hold
+    one row per grid angle. ``fit`` is the estimate's TailFit, or another
+    object with its fields and ``to_dict`` (the t-model oracle's ModelFit).
+    """
 
     alpha: float
-    direction: Direction
-    k: int
-    points: list[SurfacePoint]
+    rotation: RotationMatrix
+    thetas: np.ndarray
+    x_rotated: np.ndarray
+    x_original: np.ndarray
+    rho: np.ndarray
+    floored: np.ndarray
     fit: TailFit
     k_selection: Optional[KSelection] = None
     center_offset: Optional[np.ndarray] = None
@@ -127,43 +129,121 @@ class QuantileSurface:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        r = rotation_for(self.direction)
-        for p in self.points:
-            dev = np.abs(p.x_original - r.entries.T @ p.x_rotated).max()
-            if dev > 1e-10:
-                raise ValueError(f"inverse-rotation invariant violated by {dev!r}")
+        dev = np.abs(self.x_original - self.x_rotated @ self.rotation.entries).max()
+        if dev > 1e-10:
+            raise ValueError(f"inverse-rotation invariant violated by {dev!r}")
+
+    @classmethod
+    def from_rotated(cls, alpha, rotation, thetas, x_rotated, rho, floored, fit,
+                     k_selection=None) -> "QuantileSurface":
+        # one matrix-vector product R' x per row, as for a single point: one
+        # matrix product over the stack would regroup the sums
+        x_original = np.matmul(x_rotated[:, None, :], rotation.entries)[:, 0, :]
+        return cls(alpha, rotation, thetas, x_rotated, x_original, rho, floored, fit,
+                   k_selection)
+
+    @property
+    def direction(self) -> Direction:
+        return self.rotation.source_direction
+
+    @property
+    def k(self) -> int:
+        return self.fit.k
 
     @property
     def gamma(self) -> float:
         return self.fit.gamma
 
     def to_dict(self) -> dict:
+        columns = (self.thetas, self.x_rotated, self.x_original, self.rho, self.floored)
         return {
             "alpha": float(self.alpha),
-            "direction": [float(c) for c in self.direction.components],
+            "direction": self.direction.components.tolist(),
             "k": int(self.k),
             "gamma": float(self.gamma),
             "points": [
-                {
-                    "theta": [float(v) for v in p.theta],
-                    "x_rotated": [float(v) for v in p.x_rotated],
-                    "x_original": [float(v) for v in p.x_original],
-                    "rho": float(p.rho),
-                    "floored": bool(p.floored),
-                }
-                for p in self.points
+                {"theta": t, "x_rotated": xr, "x_original": xo, "rho": r, "floored": f}
+                for t, xr, xo, r, f in zip(*(c.tolist() for c in columns))
             ],
             "fit": self.fit.to_dict(),
             "center_offset": None
             if self.center_offset is None
-            else [float(v) for v in self.center_offset],
+            else self.center_offset.tolist(),
         }
 
 
-def _rotated_positive_or_raise(rotated: np.ndarray, k: int) -> None:
-    n = rotated.shape[0]
-    thresholds = np.sort(rotated, axis=0)[n - 1 - k, :]
-    bad = np.flatnonzero(thresholds <= 0)
+@dataclass(frozen=True)
+class DirectionalFit:
+    """A sample rotated into one direction with its marginal tails fitted.
+
+    ``context`` holds the rotated sample and the TailFit; surfaces at any
+    level and tail levels of any points are read from it without refitting.
+    """
+
+    rotation: RotationMatrix
+    context: StdfContext
+    k_selection: Optional[KSelection] = None
+
+    @property
+    def fit(self) -> TailFit:
+        return self.context.fit
+
+    def surface(self, alpha: float, grid: Optional[ThetaGrid] = None,
+                k_rho: Optional[int] = None) -> QuantileSurface:
+        """Quantile surface at level alpha over the grid (default theta_grid(d)).
+
+        k_rho optionally gives the radius estimator its own sample fraction.
+        """
+        ctx = self.context
+        grid = theta_grid(ctx.d) if grid is None else grid
+        if grid.d != ctx.d:
+            raise ValueError(f"grid dimension {grid.d} does not match data d={ctx.d}")
+        if k_rho is not None:
+            ctx = StdfContext(ctx.rotated_sample, fit_tails(ctx.rotated_sample, int(k_rho)))
+        rhos, floored = rho_hat_batch(ctx, grid.thetas)
+        x_rot = quantile_point(self.fit, rhos, grid.thetas, alpha)
+        return QuantileSurface.from_rotated(alpha, self.rotation, grid.thetas, x_rot, rhos,
+                                            floored, self.fit, self.k_selection)
+
+    def levels(self, points) -> np.ndarray:
+        """Tail levels alpha_z of points in original coordinates (see tail_levels)."""
+        return tail_levels(self.context, points, self.rotation)
+
+
+def fit_direction(sample, u: Direction, k="auto", *, epsilon: float = 0.25,
+                  b1: int = 1000, seed: int = 0) -> DirectionalFit:
+    """Rotate a finite (n, d) sample into direction u and fit its marginal tails.
+
+    With k="auto" the bootstrap selection (epsilon, b1, seed) supplies the
+    sample fraction.
+    """
+    sample = np.asarray(sample, dtype=float)
+    if sample.ndim != 2:
+        raise ValueError(f"expected an (n, d) sample, got shape {sample.shape}")
+    n, d = sample.shape
+    if n < MIN_ROWS:
+        raise DataError(f"need at least {MIN_ROWS} rows, got {n}")
+    finite = np.isfinite(sample)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise DataError(
+            f"non-finite sample cell at row {i + 1}, column {j + 1}: {float(sample[i, j])!r}"
+        )
+    if not isinstance(u, Direction):
+        u = Direction(np.asarray(u, dtype=float))
+    if u.d != d:
+        raise ValueError(f"direction dimension {u.d} does not match data d={d}")
+
+    r = rotation_for(u)
+    rotated = rotate(r, sample)
+    selection = None
+    if isinstance(k, str):
+        if k != "auto":
+            raise ValueError(f"k must be an integer or 'auto', got {k!r}")
+        selection = select_k(rotated, epsilon=epsilon, b1=b1, seed=seed)
+        k = selection.k_hat
+    k = int(k)
+    bad = np.flatnonzero(np.sort(rotated, axis=0)[n - 1 - k, :] <= 0)
     if bad.size:
         med = np.median(rotated, axis=0)
         raise PositivityError(
@@ -171,6 +251,7 @@ def _rotated_positive_or_raise(rotated: np.ndarray, k: int) -> None:
             f"statistics at k={k}; recenter the data first (for instance subtract "
             f"the componentwise median {np.round(med, 6).tolist()})"
         )
+    return DirectionalFit(r, StdfContext(rotated, fit_tails(rotated, k)), selection)
 
 
 def estimate_surface(
@@ -184,7 +265,6 @@ def estimate_surface(
     epsilon: float = 0.25,
     b1: int = 1000,
     seed: int = 0,
-    min_rows: int = DEFAULT_MIN_ROWS,
 ) -> QuantileSurface:
     """Estimate the quantile surface of a sample at level alpha in direction u.
 
@@ -192,51 +272,8 @@ def estimate_surface(
     k_rho optionally decouples the fraction used by the radius estimator
     from the one used by the marginal extrapolation.
     """
-    sample = np.asarray(sample, dtype=float)
-    if sample.ndim != 2:
-        raise ValueError(f"expected an (n, d) sample, got shape {sample.shape}")
-    n, d = sample.shape
-    if n < min_rows:
-        raise DataError(f"need at least {min_rows} rows, got {n}")
-    if not isinstance(u, Direction):
-        u = Direction(np.asarray(u, dtype=float))
-    if u.d != d:
-        raise ValueError(f"direction dimension {u.d} does not match data d={d}")
-    if grid is None:
-        grid = theta_grid(d)
-    if grid.d != d:
-        raise ValueError(f"grid dimension {grid.d} does not match data d={d}")
-
-    r = rotation_for(u)
-    rotated = rotate(r, sample)
-
-    selection = None
-    if isinstance(k, str):
-        if k != "auto":
-            raise ValueError(f"k must be an integer or 'auto', got {k!r}")
-        selection = select_k(rotated, epsilon=epsilon, b1=b1, seed=seed)
-        k = selection.k_hat
-    k = int(k)
-
-    _rotated_positive_or_raise(rotated, k)
-    fit = fit_tails(rotated, k)
-    ctx = StdfContext(rotated, fit)
-    ctx_rho = ctx if k_rho is None else StdfContext(rotated, fit_tails(rotated, int(k_rho)))
-
-    rhos, floored = rho_hat_batch(ctx_rho, grid.thetas)
-    points = []
-    for theta, rho, flo in zip(grid.thetas, rhos, floored):
-        x_rot = quantile_point(fit, float(rho), theta, alpha)
-        x_orig = r.entries.T @ x_rot
-        points.append(
-            SurfacePoint(
-                theta=theta.copy(), x_rotated=x_rot, x_original=x_orig,
-                rho=float(rho), floored=bool(flo),
-            )
-        )
-    return QuantileSurface(
-        alpha=alpha, direction=u, k=k, points=points, fit=fit, k_selection=selection
-    )
+    fitted = fit_direction(sample, u, k, epsilon=epsilon, b1=b1, seed=seed)
+    return fitted.surface(alpha, grid, k_rho)
 
 
 def shift_surface(surface: QuantileSurface, offset) -> QuantileSurface:
@@ -246,21 +283,10 @@ def shift_surface(surface: QuantileSurface, offset) -> QuantileSurface:
     by R offset), so the inverse-rotation invariant is preserved.
     """
     offset = np.asarray(offset, dtype=float)
-    r = rotation_for(surface.direction)
-    rot_off = r.entries @ offset
-    points = [
-        SurfacePoint(
-            theta=p.theta,
-            x_rotated=p.x_rotated + rot_off,
-            x_original=p.x_original + offset,
-            rho=p.rho,
-            floored=p.floored,
-        )
-        for p in surface.points
-    ]
-    return QuantileSurface(
-        alpha=surface.alpha, direction=surface.direction, k=surface.k,
-        points=points, fit=surface.fit, k_selection=surface.k_selection,
+    return replace(
+        surface,
+        x_rotated=surface.x_rotated + surface.rotation.entries @ offset,
+        x_original=surface.x_original + offset,
         center_offset=offset,
     )
 
@@ -281,7 +307,7 @@ def tail_levels(
     gam = fit.gamma_marginal
     if (gam <= 0).any():
         raise HeavyTailError("tail levels require positive marginal tail indexes")
-    w = np.maximum(0.0, 1.0 + gam * (zr - fit.b) / fit.a) ** (1.0 / gam)
+    w = frechet_weights(zr, fit.a, fit.b, gam)
     norms = np.linalg.norm(w, axis=1)
     out = np.full(zs.shape[0], np.inf)
     inside = norms > 0
@@ -326,23 +352,8 @@ def flag_outliers(
     in the extremal region (alpha_z <= k/n); rows with larger levels are
     interior and never flagged.
     """
-    sample = np.asarray(sample, dtype=float)
-    if not isinstance(u, Direction):
-        u = Direction(np.asarray(u, dtype=float))
-    r = rotation_for(u)
-    rotated = rotate(r, sample)
-    selection = None
-    if isinstance(k, str):
-        if k != "auto":
-            raise ValueError(f"k must be an integer or 'auto', got {k!r}")
-        selection = select_k(rotated, epsilon=epsilon, b1=b1, seed=seed)
-        k = selection.k_hat
-    k = int(k)
-    _rotated_positive_or_raise(rotated, k)
-    fit = fit_tails(rotated, k)
-    ctx = StdfContext(rotated, fit)
-    alpha_z = tail_levels(ctx, sample, r)
+    fitted = fit_direction(sample, u, k, epsilon=epsilon, b1=b1, seed=seed)
+    fit = fitted.fit
+    alpha_z = fitted.levels(sample)
     flagged = (alpha_z < alpha) & (alpha_z <= fit.k / fit.n)
-    return OutlierFlags(
-        alpha=alpha, alpha_z=alpha_z, flagged=flagged, fit=fit, k_selection=selection
-    )
+    return OutlierFlags(alpha, alpha_z, flagged, fit, fitted.k_selection)

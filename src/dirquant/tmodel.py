@@ -27,6 +27,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DegenerateModelError, InversionError, UnsupportedDimensionError
+from .evt import TailFit, extrapolate
 from .geometry import Direction, RotationMatrix, rotation_for
 
 
@@ -307,22 +308,23 @@ def asymptotic_quantile(params: TParams, u: Direction, alpha: float, theta, t: f
     theta = np.asarray(theta, dtype=float)
     rotated = rotate_elliptical(params, rotation_for(u))
     rho = _model_rho(theta, rotated)
-    ab = [theoretical_norm_sequences(rotated, j, t) for j in range(params.d)]
-    return asymptotic_point(rho, theta, ab, params.gamma, alpha, t)
+    a, b = np.array([theoretical_norm_sequences(rotated, j, t) for j in range(params.d)]).T
+    return extrapolate(rho * theta / (t * alpha), a, b, params.gamma)
 
 
-def asymptotic_point(rho: float, theta, ab, gamma: float, alpha: float, t: float):
-    """Asymptotic quantile point from a radius and normalization pairs.
+@dataclass(frozen=True)
+class ModelFit:
+    """The model's marginal normalization at anchor t = n/k, laid out and
+    serialized like a TailFit; it needs only t > 1, so k = 1 is allowed."""
 
-    ``ab`` holds one (a_j(t), b_j(t)) pair per rotated marginal, as
-    returned by ``theoretical_norm_sequences``; callers that visit many
-    angles at one anchor t compute the pairs once.
-    """
-    out = np.empty(len(ab))
-    for j, (a_j, b_j) in enumerate(ab):
-        base = rho * theta[j] / (t * alpha)
-        out[j] = a_j * (base**gamma - 1.0) / gamma + b_j
-    return out
+    k: int
+    gamma_marginal: np.ndarray
+    gamma: float
+    a: np.ndarray
+    b: np.ndarray
+    n: int
+
+    to_dict = TailFit.to_dict
 
 
 def relative_error(x_tilde, x_hat) -> float:

@@ -227,14 +227,14 @@ def test_criterion_7_inversion_identity():
         surf = estimate_surface(sample, e, alpha, grid, k=200)
         ctx = StdfContext(sample, surf.fit)
         exact = 0
-        for p, theta in zip(surf.points, grid.thetas):
-            az = tail_level(ctx, p.x_original, e)
+        for x_rot, x_orig, rho in zip(surf.x_rotated, surf.x_original, surf.rho):
+            az = tail_level(ctx, x_orig, e)
             assert abs(az - alpha) / alpha <= 0.05
             gam = surf.fit.gamma_marginal
-            w = np.maximum(0.0, 1.0 + gam * (np.asarray(p.x_rotated) - surf.fit.b)
+            w = np.maximum(0.0, 1.0 + gam * (x_rot - surf.fit.b)
                            / surf.fit.a) ** (1.0 / gam)
             theta_z = w / np.linalg.norm(w)
-            if rho_hat(ctx, theta_z).value == p.rho:
+            if rho_hat(ctx, theta_z).value == rho:
                 assert az == pytest.approx(alpha, rel=1e-12)
                 exact += 1
         print(f"  {exact} of {len(grid)} grid points invert exactly")

@@ -1,14 +1,18 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from dirquant import (
     DataError,
+    DirquantError,
     InversionError,
+    NumericalError,
     asymptotic_quantile,
     diagonal_direction,
     flag_outliers,
@@ -123,20 +127,24 @@ class TestParsers:
 
 class TestRoundTrip:
     def test_surface_csv_json_csv_lossless(self, data_csv, tmp_path):
+        # estimate and oracle-t write through the same serializer
         out = tmp_path / "surf.json"
-        rc = main(["estimate", "--input", data_csv, "--has-header",
-                   "--alpha", "1/1500", "--k", "150", "--grid", "6",
-                   "--output", str(out)])
-        assert rc == 0
-        doc = json.loads(out.read_text())
-        csv1 = surface_doc_to_csv(doc)
-        doc2 = surface_doc_from_csv(csv1)
-        csv2 = surface_doc_to_csv(doc2)
-        assert csv1 == csv2
-        p0 = doc["points"][0]
-        p2 = doc2["points"][0]
-        assert p0["x_original"] == p2["x_original"]
-        assert p0["rho"] == p2["rho"]
+        for argv in (
+            ["estimate", "--input", data_csv, "--has-header", "--alpha", "1/1500",
+             "--k", "150", "--grid", "6"],
+            ["oracle-t", "--mu", MU2, "--sigma", SIG2, "--nu", "3", "--alpha", "1/5000",
+             "--n", "5000", "--k", "250", "--grid", "6", "--direction", "fpc"],
+        ):
+            assert main(argv + ["--output", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            csv1 = surface_doc_to_csv(doc)
+            doc2 = surface_doc_from_csv(csv1)
+            csv2 = surface_doc_to_csv(doc2)
+            assert csv1 == csv2
+            p0 = doc["points"][0]
+            p2 = doc2["points"][0]
+            assert p0["x_original"] == p2["x_original"]
+            assert p0["rho"] == p2["rho"]
 
 
 class TestCommands:
@@ -424,6 +432,38 @@ class TestExitCodes:
             main([command, "--input", data_csv, "--workers", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("exc, code", [
+        (ValueError("bad value"), 2),
+        (OSError("no such file"), 2),
+        (KeyError("key"), 2),
+        (DataError("bad data"), 3),
+        (NumericalError("no convergence"), 4),
+        (DirquantError("other failure"), 4),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+    def test_exit_code_table(self, exc, code, monkeypatch, capsys):
+        def fail(cfg):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_rotate", fail)
+        assert main(["rotate"]) == code
+        assert json.loads(capsys.readouterr().err) == {
+            "error": type(exc).__name__, "message": str(exc)}
+
+    def test_numerical_error_exit_4(self, tmp_path, capsys):
+        # 1 - 1/t rounds to 1 at t = 1e17: the marginal quantile is infinite
+        out = tmp_path / "oracle.json"
+        assert main(["oracle-t", "--mu", MU2, "--sigma", SIG2, "--nu", "3",
+                     "--alpha", "1/5000", "--n", str(10**17), "--k", "1",
+                     "--output", str(out)]) == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "InversionError"
+        assert not out.exists()
+
+    def test_oracle_k_zero_is_usage_error(self, capsys):
+        assert main(["oracle-t", "--mu", MU2, "--sigma", SIG2, "--nu", "3",
+                     "--alpha", "1/5000", "--n", "5000", "--k", "0"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": "oracle-t needs --k >= 1, got 0"}
+
     def test_argparse_usage_exit(self):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--bogus-flag"])
@@ -439,3 +479,164 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "estimate" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# byte stability: sha256 of every output file of small fixed-seed commands
+
+_M2 = ["--mu", MU2, "--sigma", SIG2, "--nu", "3"]
+_M3 = ["--mu", "0,0,0", "--sigma", "5,2.44,-1.88,2.44,2.12,0.04,-1.88,0.04,2.36",
+       "--nu", "4"]
+_SIM2 = ["simulate-t", *_M2, "--n", "1500", "--seed", "4"]
+_SIM3 = ["simulate-t", *_M3, "--n", "3000", "--seed", "6"]
+_SIM4 = ["simulate-t", "--mu", "0,0,0,0", "--sigma",
+         "2,0.5,0.3,0.1,0.5,1.5,0.2,0.4,0.3,0.2,1.8,0.6,0.1,0.4,0.6,1.2",
+         "--nu", "3", "--n", "1500", "--seed", "8"]
+
+# argv, with {s2}, {s3} and {s4} standing for the simulated inputs
+BYTE_CASES = {
+    "simulate-t-2d": _SIM2,
+    "simulate-t-3d": _SIM3,
+    "simulate-t-4d": _SIM4,
+    "rotate-json-2d": ["rotate", "--input", "{s2}", "--has-header",
+                        "--direction", "0.8,-0.6"],
+    "rotate-csv-3d": ["rotate", "--input", "{s3}", "--has-header",
+                       "--direction", "fpc", "--format", "csv"],
+    "select-k-2d": ["select-k", "--input", "{s2}", "--has-header", "--b1", "40",
+                     "--seed", "3"],
+    "estimate-json-2d-auto": ["estimate", "--input", "{s2}", "--has-header",
+                               "--alpha", "1/1500", "--k", "auto", "--b1", "40",
+                               "--seed", "5", "--grid", "6", "--direction", "fpc"],
+    "estimate-csv-2d-center": ["estimate", "--input", "{s2}", "--has-header",
+                                "--alpha", "1/1500", "--k", "150", "--center",
+                                "--grid", "6", "--direction", "0.8,-0.6",
+                                "--format", "csv"],
+    "estimate-json-3d-k-rho": ["estimate", "--input", "{s3}", "--has-header",
+                                "--alpha", "1/3000", "--k", "150", "--k-rho", "300",
+                                "--grid", "4", "--direction", "0.6,0.35,0.05"],
+    "estimate-csv-3d-auto": ["estimate", "--input", "{s3}", "--has-header",
+                              "--alpha", "1/3000", "--k", "auto", "--b1", "40",
+                              "--seed", "1", "--grid", "4", "--format", "csv"],
+    "estimate-json-4d": ["estimate", "--input", "{s4}", "--has-header",
+                         "--alpha", "1/1500", "--k", "150", "--grid", "3",
+                         "--direction", "0.5,0.3,0.6,0.2"],
+    "flag-csv-2d-auto": ["flag", "--input", "{s2}", "--has-header", "--alpha", "0.01",
+                          "--k", "auto", "--b1", "40", "--seed", "7", "--format", "csv"],
+    "flag-json-2d": ["flag", "--input", "{s2}", "--has-header", "--alpha", "0.01",
+                      "--k", "150"],
+    "flag-csv-3d": ["flag", "--input", "{s3}", "--has-header", "--alpha", "1/1250",
+                     "--k", "120", "--direction", "0.6,0.35,0.05", "--format", "csv"],
+    "flag-json-3d-center": ["flag", "--input", "{s3}", "--has-header",
+                             "--alpha", "1/1250", "--k", "120", "--center"],
+    "oracle-json-2d": ["oracle-t", *_M2, "--alpha", "1/5000", "--n", "5000",
+                        "--k", "250", "--grid", "5", "--direction", "fpc"],
+    "oracle-csv-3d": ["oracle-t", *_M3, "--alpha", "1/5000", "--n", "5000",
+                       "--k", "100", "--grid", "4", "--direction", "fpc",
+                       "--format", "csv"],
+    "oracle-json-k1": ["oracle-t", *_M2, "--alpha", "1/5000", "--n", "5000",
+                        "--k", "1", "--grid", "5", "--direction", "fpc"],
+    "mc-study-2d": ["mc-study", *_M2, "--n", "2000", "--replicates", "3", "--b1", "40",
+                     "--grid", "4", "--seed", "42"],
+    "mc-study-3d": ["mc-study", *_M3, "--n", "2000", "--replicates", "2", "--k", "150",
+                     "--grid", "3", "--seed", "41", "--direction", "e"],
+}
+
+
+# sha256 of each file a case writes, keyed by its suffix to --output (an
+# empty suffix is --output itself)
+BYTE_DIGESTS = {
+    "estimate-csv-2d-center": {
+        "": "5119c6a909fed6bb343e8dd59087e7de36fec030cf1afe4748b7bcba256339fa",
+        ".report.json": "10867d7968ce45cd8734b0a4332efb9a41f454bd17e5a6e2691e0385729b5697",
+    },
+    "estimate-csv-3d-auto": {
+        "": "14e9737c5c72d350b6b7c08d4e430ab92c4b846935fdad34a6a9e2f0acaac2eb",
+        ".report.json": "6ec73c9afb1844178977a83fa12a6de14195508106b102b80a1fb13218d91c81",
+    },
+    "estimate-json-2d-auto": {
+        "": "c350759bbbd52abb327001d85032b3ab29a613acefd9e4cc8bec91b08f69974f",
+        ".report.json": "b747bd30afaf5699feb492e9095e1d980503b7611eed777ffa61c045d91b5075",
+    },
+    "estimate-json-3d-k-rho": {
+        "": "29db272cdafb037227fc971c16a0841c60a46ba29a9b945c4a2a8f0c1d08e685",
+        ".report.json": "b25fada09205b2f3db674ae742d7b1b474e42e0e5218b84c84d5182ddb1cc4f3",
+    },
+    "estimate-json-4d": {
+        "": "6e8ec904f3b94193fc1980fa8c111240c253c7985082ce3210d40acb89945088",
+        ".report.json": "1ea1cf0485ce053ebe7ba197f2af006d30a83ed914c2b8e4330601615bc40a45",
+    },
+    "flag-csv-2d-auto": {
+        "": "dfe5ca97a6d0471826b793f2c32931b21f6df5a01fb62149c3a8b6a33e44dab1",
+    },
+    "flag-csv-3d": {
+        "": "7dd608848ca3ac3612846a204bb66827626c5a01f0d008d26b2fb8229e6a4b43",
+    },
+    "flag-json-2d": {
+        "": "47e25251c6db5a76bb94ae284f8b61b3172e2c13d06832537852fc12d4e378f1",
+    },
+    "flag-json-3d-center": {
+        "": "8ef83f81523594ab54392965409b6142a54d1b1ada034534228accc0e37196fd",
+    },
+    "mc-study-2d": {
+        ".replicates.csv": "5a221e363ed28313f5177ccba95db7d186f0dfacdef9e55ad6f916b2b92a2703",
+        ".rho.csv": "623fb2186c86328e4e1314259b42c017a90642bcede0ef4fdd970d77ef656bd5",
+        ".bands.csv": "0c6c6f122ecffe8427a6ad269bdacbb70e07d8896e9b8f122dd46a01b4006bcd",
+        ".summary.json": "7e9abace450f15d29a5d0e9a47d4676547ddd8e2614ca176d2706b59556d09d7",
+    },
+    "mc-study-3d": {
+        ".replicates.csv": "b0cfd5189d338103a64683aaa91ec210f23e39069c055bc9ffd8dba39834681e",
+        ".rho.csv": "c675bdf37e23c7d06a3414c676ab3b55a7748a9a15577a2e1a3410fbbe262dab",
+        ".bands.csv": "0267f82c0500db4f0a01340b51c320bbbfb087f5b887d71a4607697a4edadd86",
+        ".summary.json": "2183cd0c9a768a8eb8377571aaf6f431b480860cb85b512161ca7cc3ce31ac47",
+    },
+    "oracle-csv-3d": {
+        "": "00d93c03f99af1a726e24e7cd13f94b3e9d7c5f728b93aa9e98af8769b10dea9",
+    },
+    "oracle-json-2d": {
+        "": "189dce6c05ee34401ae6018eadfa3586b17f87352e701c5c9a924cf273f2145f",
+    },
+    "oracle-json-k1": {
+        "": "e47b8faabe39a3b348832f9a528795e88c2997fc315c9bf65becf97623e88a76",
+    },
+    "rotate-csv-3d": {
+        "": "ad8b3623224876497667f2a67dc4faae207bdf78480c54365974b35b26c29010",
+    },
+    "rotate-json-2d": {
+        "": "ff856e9319ea12f08d9a9d58b97da15f77cff3ab7d991f306ad7c8d258251c26",
+    },
+    "select-k-2d": {
+        "": "ae0606db3ac96a68fd08f39ebdff298a8655c3811a2bca089b1ed2e8e0f7cc56",
+    },
+    "simulate-t-2d": {
+        "": "9e33913f09657e99b956a553109f88bf04ad11904e4366403ac99a820cc5f68a",
+    },
+    "simulate-t-3d": {
+        "": "f1d4f5df8c263d2b00c511cb53412b8e061a862bbb26d4bfae616c440178d744",
+    },
+    "simulate-t-4d": {
+        "": "de99e83ef071b0b792a3a2e8c3d5ddd8ceaa3684e72f077267c786ea4ad1c24b",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sim")
+    paths = {name: str(root / f"{name}.csv") for name in ("s2", "s3", "s4")}
+    for name, argv in zip(paths, (_SIM2, _SIM3, _SIM4)):
+        assert main(argv + ["--output", paths[name]]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("name", sorted(BYTE_CASES))
+def test_outputs_byte_stable(name, simulated, tmp_path):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        argv = [a.format(**simulated) for a in BYTE_CASES[name]]
+        assert main(argv + ["--output", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        "out" + s for s in BYTE_DIGESTS[name])
+    got = {s: hashlib.sha256((tmp_path / ("out" + s)).read_bytes()).hexdigest()
+           for s in BYTE_DIGESTS[name]}
+    assert got == BYTE_DIGESTS[name]

@@ -117,6 +117,16 @@ class TestQuantilePoint:
         with pytest.raises(ValueError):
             quantile_point(fit1d(), 1.0, np.array([1.0]), 1.5)
 
+    def test_stacked_rows_equal_single_angle_calls(self):
+        fit = TailFit(k=150, gamma_marginal=np.array([0.21, 0.34, 0.57]), gamma=0.37,
+                      a=np.array([0.9, 1.7, 0.4]), b=np.array([2.2, 3.1, 1.3]), n=3000)
+        thetas = theta_grid(3, 17, 0.01).thetas
+        rhos = np.random.default_rng(4).uniform(1.0 / 150, 3.0, len(thetas))
+        stacked = quantile_point(fit, rhos, thetas, 1.0 / 5000)
+        assert stacked.shape == thetas.shape
+        for row, rho, theta in zip(stacked, rhos, thetas):
+            assert np.array_equal(row, quantile_point(fit, float(rho), theta, 1.0 / 5000))
+
 
 @pytest.fixture(scope="module")
 def sample_2d(params_2d):
@@ -131,12 +141,13 @@ class TestEstimateSurface:
         surf = estimate_surface(data, diagonal_direction(2), 1e-3, grid, k=80)
         fit = fit_tails(data, 80)
         ctx = StdfContext(data, fit)
-        for p, theta in zip(surf.points, grid.thetas):
+        for x_rot, x_orig, rho_s, theta in zip(surf.x_rotated, surf.x_original, surf.rho,
+                                               grid.thetas):
             rho = rho_hat(ctx, theta)
             manual = quantile_point(fit, rho.value, theta, 1e-3)
-            assert np.array_equal(p.x_rotated, manual)
-            assert np.array_equal(p.x_original, manual)
-            assert p.rho == rho.value
+            assert np.array_equal(x_rot, manual)
+            assert np.array_equal(x_orig, manual)
+            assert rho_s == rho.value
 
     def test_rotation_path_equivalence_bitwise(self, sample_2d):
         u = Direction.from_vector([0.8, -0.6])
@@ -146,10 +157,10 @@ class TestEstimateSurface:
         direct = estimate_surface(sample_2d, u, alpha, grid, k=200)
         pre_rotated = rotate(r, sample_2d)
         via_e = estimate_surface(pre_rotated, diagonal_direction(2), alpha, grid, k=200)
-        for pd, pe in zip(direct.points, via_e.points):
-            assert np.array_equal(pd.x_rotated, pe.x_rotated)
-            assert np.array_equal(pd.x_original, r.entries.T @ pe.x_original)
-            assert pd.rho == pe.rho
+        assert np.array_equal(direct.x_rotated, via_e.x_rotated)
+        for xd, xe in zip(direct.x_original, via_e.x_original):
+            assert np.array_equal(xd, r.entries.T @ xe)
+        assert np.array_equal(direct.rho, via_e.rho)
 
     def test_rotation_path_equivalence_with_auto_k(self, sample_2d):
         u = Direction.from_vector([0.8, -0.6])
@@ -160,22 +171,20 @@ class TestEstimateSurface:
         via_e = estimate_surface(rotate(r, sample_2d), diagonal_direction(2),
                                  alpha, grid, k="auto", b1=40, seed=5)
         assert direct.k == via_e.k
-        for pd, pe in zip(direct.points, via_e.points):
-            assert np.array_equal(pd.x_rotated, pe.x_rotated)
+        assert np.array_equal(direct.x_rotated, via_e.x_rotated)
 
     def test_inverse_rotation_invariant(self, sample_2d):
         u = Direction.from_vector([0.3, 0.954])
         surf = estimate_surface(sample_2d, u, 2e-4, theta_grid(2, 8, 0.05), k=150)
         r = rotation_for(u)
-        for p in surf.points:
-            assert np.abs(p.x_original - r.entries.T @ p.x_rotated).max() <= 1e-10
+        for x_rot, x_orig in zip(surf.x_rotated, surf.x_original):
+            assert np.abs(x_orig - r.entries.T @ x_rot).max() <= 1e-10
 
     def test_alpha_monotone_domination(self, sample_2d):
         grid = theta_grid(2, 6, 0.05)
         hi = estimate_surface(sample_2d, diagonal_direction(2), 1e-4, grid, k=200)
         lo = estimate_surface(sample_2d, diagonal_direction(2), 1e-3, grid, k=200)
-        for ph, pl in zip(hi.points, lo.points):
-            assert (ph.x_rotated > pl.x_rotated).all()
+        assert (hi.x_rotated > lo.x_rotated).all()
 
     def test_grid_refinement_bitwise_superset(self, sample_2d):
         alpha = 1.0 / 5000
@@ -183,11 +192,9 @@ class TestEstimateSurface:
                                   theta_grid(2, 7, 0.05), k=200)
         fine = estimate_surface(sample_2d, diagonal_direction(2), alpha,
                                 theta_grid(2, 13, 0.05), k=200)
-        for i, p in enumerate(coarse.points):
-            q = fine.points[2 * i]
-            assert np.array_equal(p.theta, q.theta)
-            assert np.array_equal(p.x_rotated, q.x_rotated)
-            assert p.rho == q.rho
+        assert np.array_equal(coarse.thetas, fine.thetas[::2])
+        assert np.array_equal(coarse.x_rotated, fine.x_rotated[::2])
+        assert np.array_equal(coarse.rho, fine.rho[::2])
 
     def test_positivity_violation_suggests_centering(self):
         rng = np.random.default_rng(10)
@@ -203,6 +210,17 @@ class TestEstimateSurface:
         with pytest.raises(DataError):
             estimate_surface(data, diagonal_direction(2), 1e-3, None, k=5)
 
+    def test_rotation_built_once(self, sample_2d, monkeypatch):
+        calls = []
+        monkeypatch.setattr(quantile, "rotation_for",
+                            lambda u: calls.append(u) or rotation_for(u))
+        u = Direction.from_vector([0.8, -0.6])
+        surf = estimate_surface(sample_2d, u, 1e-3, theta_grid(2, 5, 0.05), k=200,
+                                k_rho=300)
+        shift_surface(surf, np.array([1.0, 2.0]))
+        assert len(calls) == 1
+        assert surf.direction is calls[0]
+
     def test_k_rho_decouples_radius_fraction(self, sample_2d):
         grid = theta_grid(2, 5, 0.05)
         alpha = 1.0 / 5000
@@ -211,9 +229,9 @@ class TestEstimateSurface:
                                  k=200, k_rho=400)
         fit_rho = fit_tails(sample_2d, 400)
         ctx_rho = StdfContext(sample_2d, fit_rho)
-        for p, theta in zip(tuned.points, grid.thetas):
-            assert p.rho == rho_hat(ctx_rho, theta).value
-        assert any(p.rho != q.rho for p, q in zip(base.points, tuned.points))
+        for rho, theta in zip(tuned.rho, grid.thetas):
+            assert rho == rho_hat(ctx_rho, theta).value
+        assert (base.rho != tuned.rho).any()
 
     def test_shift_surface_restores_raw_coordinates(self, sample_2d):
         offset = np.array([3.0, -1.0])
@@ -222,9 +240,47 @@ class TestEstimateSurface:
         surf = estimate_surface(centered, diagonal_direction(2), 1e-3,
                                 theta_grid(2, 5, 0.05), k=200)
         moved = shift_surface(surf, offset)
-        for p, q in zip(surf.points, moved.points):
-            assert np.abs(q.x_original - (p.x_original + offset)).max() < 1e-12
+        assert np.abs(moved.x_original - (surf.x_original + offset)).max() < 1e-12
         assert np.array_equal(moved.center_offset, offset)
+
+
+class TestFitDirection:
+    def test_surfaces_and_levels_match_one_shot_calls(self, sample_2d):
+        u = Direction.from_vector([0.8, -0.6])
+        grid = theta_grid(2, 6, 0.05)
+        fitted = quantile.fit_direction(sample_2d, u, k=200)
+        for alpha in (1e-3, 1e-4):
+            once = estimate_surface(sample_2d, u, alpha, grid, k=200)
+            assert fitted.surface(alpha, grid).to_dict() == once.to_dict()
+        new_points = sample_2d[:50] * 3.0
+        assert np.array_equal(fitted.levels(new_points),
+                              tail_levels(fitted.context, new_points, u))
+        assert np.array_equal(fitted.levels(sample_2d),
+                              flag_outliers(sample_2d, u, 0.01, k=200).alpha_z)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", ["estimate", "flag"])
+    def test_non_finite_cell_named(self, entry, bad, sample_2d):
+        from dirquant import DataError
+
+        data = sample_2d.copy()
+        data[2, 1] = bad
+        with pytest.raises(DataError) as info:
+            if entry == "estimate":
+                estimate_surface(data, diagonal_direction(2), 1e-3, k=200)
+            else:
+                flag_outliers(data, diagonal_direction(2), 0.01, k=200)
+        assert str(info.value) == f"non-finite sample cell at row 3, column 2: {bad!r}"
+
+    def test_flag_shares_estimate_input_checks(self, sample_2d):
+        from dirquant import DataError
+
+        with pytest.raises(DataError, match="need at least 50 rows, got 49"):
+            flag_outliers(sample_2d[:49], diagonal_direction(2), 0.01, k=10)
+        with pytest.raises(ValueError, match="direction dimension 3 does not match data d=2"):
+            flag_outliers(sample_2d, diagonal_direction(3), 0.01, k=200)
+        with pytest.raises(ValueError, match=r"expected an \(n, d\) sample"):
+            flag_outliers(sample_2d[:, 0], diagonal_direction(2), 0.01, k=200)
 
 
 class TestTailLevel:
@@ -233,8 +289,8 @@ class TestTailLevel:
         grid = theta_grid(2, 12, 0.05)
         surf = estimate_surface(sample_2d, diagonal_direction(2), alpha, grid, k=200)
         ctx = StdfContext(sample_2d, surf.fit)
-        for p in surf.points:
-            az = tail_level(ctx, p.x_original, diagonal_direction(2))
+        for x in surf.x_original:
+            az = tail_level(ctx, x, diagonal_direction(2))
             assert abs(az - alpha) / alpha < 0.05
 
     def test_inversion_exact_when_rho_matches(self, sample_2d):
@@ -243,13 +299,13 @@ class TestTailLevel:
         surf = estimate_surface(sample_2d, diagonal_direction(2), alpha, grid, k=200)
         ctx = StdfContext(sample_2d, surf.fit)
         exact = 0
-        for p, theta in zip(surf.points, grid.thetas):
-            az = tail_level(ctx, p.x_original, diagonal_direction(2))
-            zr = rotate(rotation_for(diagonal_direction(2)), np.asarray(p.x_original))
+        for x, rho in zip(surf.x_original, surf.rho):
+            az = tail_level(ctx, x, diagonal_direction(2))
+            zr = rotate(rotation_for(diagonal_direction(2)), x)
             gam = surf.fit.gamma_marginal
             w = np.maximum(0.0, 1.0 + gam * (zr - surf.fit.b) / surf.fit.a) ** (1 / gam)
             theta_z = w / np.linalg.norm(w)
-            if rho_hat(ctx, theta_z).value == p.rho:
+            if rho_hat(ctx, theta_z).value == rho:
                 assert az == pytest.approx(alpha, rel=1e-12)
                 exact += 1
         assert exact > 0
@@ -289,8 +345,8 @@ class TestTailLevel:
         surf = estimate_surface(sample_2d, diagonal_direction(2), alpha, grid,
                                 k=200, k_rho=400)
         ctx_rho = StdfContext(sample_2d, fit_tails(sample_2d, 400))
-        for p in surf.points:
-            az = tail_level(ctx_rho, p.x_original, diagonal_direction(2), fit=surf.fit)
+        for x in surf.x_original:
+            az = tail_level(ctx_rho, x, diagonal_direction(2), fit=surf.fit)
             assert abs(az - alpha) / alpha < 0.05
 
 
