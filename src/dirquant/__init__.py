@@ -11,7 +11,6 @@ from .bootstrap import (
     bootstrap_error,
     convergence_rate,
     optimal_k_for_size,
-    optimal_k_from_resamples,
     select_k,
 )
 from .errors import (
@@ -87,8 +86,8 @@ __all__ = [
     "ThetaGrid", "theta_grid", "quantile_point", "QuantileSurface",
     "DirectionalFit", "fit_direction", "estimate_surface", "shift_surface",
     "tail_level", "tail_levels", "flag_outliers", "OutlierFlags",
-    "KSelection", "bootstrap_error", "optimal_k_from_resamples",
-    "optimal_k_for_size", "convergence_rate", "select_k",
+    "KSelection", "bootstrap_error", "optimal_k_for_size", "convergence_rate",
+    "select_k",
     "TParams", "sample_t", "rotate_elliptical", "fpc_direction", "t_cdf", "t_stdf",
     "theoretical_rho", "theoretical_norm_sequences", "asymptotic_quantile",
     "ModelFit", "relative_error",

@@ -9,10 +9,22 @@ Resamples are drawn with replacement from the full rotated sample, then
 rows with any non-positive component are dropped; a resample retaining
 fewer rows than a floor is redrawn from the same stream. Resamples are
 drawn and their error curves computed in blocks, one sort per block.
+
+Resample i of stage s draws its rows as
+``np.random.default_rng([seed, s, i]).integers(0, n, m)``, then its
+redraws from the same generator. The first draws of a block are replayed
+in batch: numpy's SeedSequence hash runs vectorised over the block's
+indices, each stream's PCG64 state is derived from it, and one reused
+PCG64 supplies the raw outputs that Lemire's multiply-shift maps to
+[0, n). A stream whose mapping would reject an output, a redraw and any
+input outside 0 <= seed < 2^32, 2 <= n < 2^32 go through ``default_rng``
+itself, as does every stream if a once-per-process probe finds that the
+replay disagrees with the installed numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,9 +34,9 @@ import numpy as np
 
 from .errors import (
     NonFiniteCorrectionWarning,
-    PositivityError,
     ResamplingError,
     SmallSampleWarning,
+    _require_finite,
 )
 from .evt import log_moment, log_moment_profiles
 
@@ -94,6 +106,121 @@ def bootstrap_error(sorted_values, k: int) -> float:
     return (m2 - 2.0 * m1 * m1) ** 2
 
 
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(value: int, mult: int, count: int) -> list:
+    """(xor, multiplier) pairs of ``count`` successive SeedSequence hash steps."""
+    out = []
+    for _ in range(count):
+        nxt = value * mult & _MASK32
+        out.append((np.uint32(value), np.uint32(nxt)))
+        value = nxt
+    return out
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) with its pool of
+# four words. Entropy [seed, stage, i] fills three words and a zero the
+# fourth; filling and the twelve cross-mixes take 16 hash steps, and
+# generate_state(4, uint64) takes eight more.
+_XSHIFT = np.uint32(16)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+# Multiplier of PCG64's 128-bit LCG (numpy/random/src/pcg64/pcg64.h).
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hashmix(value: np.ndarray, const) -> np.ndarray:
+    xor, mult = const
+    value = (value ^ xor) * mult
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _pcg_states(seed: int, stage: int, indices) -> list:
+    """PCG64 (state, inc) of ``default_rng([seed, stage, i])`` for each i."""
+    idx = np.asarray(indices, dtype=np.uint32)
+    entropy = [np.full_like(idx, seed), np.full_like(idx, stage), idx, np.zeros_like(idx)]
+    consts = iter(_POOL_HASH)
+    pool = [_hashmix(word, next(consts)) for word in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
+    words = [_hashmix(pool[i % 4], c).astype(np.uint64) for i, c in enumerate(_STATE_HASH)]
+    # Little-endian pairs of 32-bit words make the four 64-bit seed words:
+    # the first two the initial state, the last two the stream increment.
+    seeds = [(words[2 * j] | words[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)]
+    out = []
+    for hi, lo, inc_hi, inc_lo in zip(*seeds):
+        # PCG's srandom_r: state 0, one LCG step, add the seed, one more step.
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state = ((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128
+        out.append((state, inc))
+    return out
+
+
+def _replayed_draws(n: int, m: int, seed: int, stage: int, indices):
+    """First draws of the streams ``indices``, without building them.
+
+    Returns the (B, m) draws and a (B,) mask of the streams replayed
+    exactly. A stream is not exact if Lemire's method rejects one of its
+    words, since numpy then draws again and shifts the rest.
+    """
+    half = (m + 1) // 2
+    raw = np.empty((len(indices), half), dtype=np.uint64)
+    bitgen = np.random.PCG64(0)
+    doc = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    for row, (state, inc) in zip(raw, _pcg_states(seed, stage, indices)):
+        doc["state"] = {"state": state, "inc": inc}
+        bitgen.state = doc
+        row[:] = bitgen.random_raw(half)
+    # integers() takes the low 32 bits of each raw output, then the high,
+    # and maps a word u to the high half of u*n; it rejects u if the low
+    # half falls below 2^32 mod n.
+    words = raw.astype("<u8", copy=False).view("<u4")[:, :m]
+    exact = (words * np.uint32(n) >= np.uint32((1 << 32) % n)).all(axis=1)
+    draws = words.astype(np.uint64) * np.uint64(n) >> np.uint64(32)
+    return draws.view(np.int64), exact
+
+
+@functools.lru_cache(maxsize=None)
+def _replay_matches_numpy() -> bool:
+    """Whether the replay reproduces one stream, with no rejected word, of
+    the installed numpy; a replay that raises (say, on a changed PCG64
+    state format) counts as a mismatch."""
+    seed, stage, index, n, m = 2**32 - 1, 2, 4321, 5000, 7
+    want = np.random.default_rng([seed, stage, index]).integers(0, n, m)
+    try:
+        draws, exact = _replayed_draws(n, m, seed, stage, [index])
+    except Exception:
+        return False
+    return bool(exact[0]) and np.array_equal(draws[0], want)
+
+
+def _is_word(value) -> bool:
+    return isinstance(value, (int, np.integer)) and 0 <= value <= _MASK32
+
+
+def _first_draws(n: int, m: int, seed: int, stage: int, indices) -> np.ndarray:
+    """(B, m) first draws ``default_rng([seed, stage, i]).integers(0, n, m)``."""
+    replayable = (_is_word(seed) and _is_word(stage) and 2 <= n <= _MASK32 and m >= 1
+                  and len(indices) > 0 and 0 <= min(indices) and max(indices) <= _MASK32)
+    if not (replayable and _replay_matches_numpy()):
+        return np.stack([np.random.default_rng([seed, stage, i]).integers(0, n, m)
+                         for i in indices])
+    draws, exact = _replayed_draws(n, m, seed, stage, indices)
+    for i in np.flatnonzero(~exact):
+        draws[i] = np.random.default_rng([seed, stage, indices[i]]).integers(0, n, m)
+    return draws
+
+
 def _draw_block(columns: np.ndarray, m: int, seed: int, stage: int, indices,
                 min_retained: int):
     """Draw the resamples ``indices`` of one stage, each from its own stream.
@@ -104,12 +231,13 @@ def _draw_block(columns: np.ndarray, m: int, seed: int, stage: int, indices,
     REDRAW_ATTEMPTS draws in all.
     """
     n = columns.shape[1]
-    rngs = [np.random.default_rng([seed, stage, idx]) for idx in indices]
-    values = columns.take(np.stack([rng.integers(0, n, m) for rng in rngs]), axis=1)
+    values = columns.take(_first_draws(n, m, seed, stage, indices), axis=1)
     keep = (values > 0).all(axis=0)
     for i in np.flatnonzero(keep.sum(axis=1) < min_retained):
+        rng = np.random.default_rng([seed, stage, indices[i]])
+        rng.integers(0, n, m)  # the first draw, already in ``values``
         for _ in range(REDRAW_ATTEMPTS - 1):
-            values[:, i] = columns.take(rngs[i].integers(0, n, m), axis=1)
+            values[:, i] = columns.take(rng.integers(0, n, m), axis=1)
             keep[i] = (values[:, i] > 0).all(axis=0)
             if keep[i].sum() >= min_retained:
                 break
@@ -163,28 +291,6 @@ def _argmin_per_marginal(sums: np.ndarray, counts: np.ndarray, b: int) -> np.nda
     return out
 
 
-def optimal_k_from_resamples(resamples) -> np.ndarray:
-    """Per-marginal argmin of the error averaged over given retained resamples."""
-    resamples = [np.atleast_2d(np.asarray(r, dtype=float)) for r in resamples]
-    if not resamples:
-        raise ValueError("need at least one resample")
-    if any((r <= 0).any() for r in resamples):
-        raise PositivityError("profiles require all values positive")
-    d = resamples[0].shape[1]
-    size = max(r.shape[0] for r in resamples) + 2
-    sums = np.zeros((d, size))
-    counts = np.zeros((d, size))
-    for start in range(0, len(resamples), BLOCK):
-        block = resamples[start:start + BLOCK]
-        values = np.full((d, len(block), size), _PAD)
-        keep = np.zeros((len(block), size), dtype=bool)
-        for i, rows in enumerate(block):
-            values[:, i, : rows.shape[0]] = rows.T
-            keep[i, : rows.shape[0]] = True
-        _add_error_curves(sums, counts, values, keep)
-    return _argmin_per_marginal(sums, counts, len(resamples))
-
-
 def optimal_k_for_size(
     rotated_sample,
     m: int,
@@ -236,13 +342,14 @@ def select_k(
     b1: int = 1000,
     seed: int = 0,
 ) -> KSelection:
-    """Full bootstrap selection of k(n) on a pre-rotated sample.
+    """Full bootstrap selection of k(n) on a finite, pre-rotated sample.
 
     Falls back to k = floor(sqrt(n)) with a warning for n below
     2000/2^d, where the resample sizes are too small for the two-stage
     procedure to be meaningful.
     """
     sample = np.atleast_2d(np.asarray(rotated_sample, dtype=float))
+    _require_finite(sample)
     n, d = sample.shape
     if not (0.0 < epsilon < 0.5):
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon!r}")

@@ -508,7 +508,7 @@ def cmd_oracle_t(cfg: RunConfig) -> int:
     a, b = np.array([theoretical_norm_sequences(rotated, j, t_anchor)
                      for j in range(params.d)]).T
     fit = ModelFit(k, np.full(params.d, params.gamma), params.gamma, a, b, cfg.n)
-    rhos = theoretical_rho(grid.thetas, params, u)
+    rhos = theoretical_rho(grid.thetas, params, r)
     x_rot = extrapolate(rhos[:, None] * grid.thetas / (t_anchor * alpha), a, b, fit.gamma)
     surface = QuantileSurface.from_rotated(alpha, r, grid.thetas, x_rot, rhos,
                                            np.zeros(len(grid), dtype=bool), fit)
@@ -538,19 +538,19 @@ def run_mc_study(cfg: RunConfig) -> dict:
     r = rotation_for(u)
     theta_star = np.ones(params.d) / np.sqrt(params.d)
 
-    rho_theory = theoretical_rho(grid.thetas, params, u)
+    rho_theory = theoretical_rho(grid.thetas, params, r)
 
     def one(rep: int):
         # a replicate whose tail fit cannot support extrapolation, or whose
         # numerics fail, is reported as failed instead of aborting the study
         sample = sample_t(params, n, _replicate_seed(cfg.seed, rep, 0))
         try:
-            fitted = fit_direction(sample, u, parse_k(cfg.k), epsilon=cfg.epsilon,
+            fitted = fit_direction(sample, r, parse_k(cfg.k), epsilon=cfg.epsilon,
                                    b1=cfg.b1, seed=_replicate_seed(cfg.seed, rep, 1))
             surface = fitted.surface(alpha, grid)
             rho_star, _ = rho_hat_batch(fitted.context, theta_star[None, :])
             x_hat_star = quantile_point(fitted.fit, float(rho_star[0]), theta_star, alpha)
-            x_tilde_star = asymptotic_quantile(params, u, alpha, theta_star,
+            x_tilde_star = asymptotic_quantile(params, r, alpha, theta_star,
                                                n / fitted.fit.k)
         except (DataError, NumericalError) as exc:
             return {"error": f"{type(exc).__name__}: {exc}"}

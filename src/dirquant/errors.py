@@ -3,8 +3,11 @@
 Two error families matter to callers: ``DataError`` covers violated
 distributional assumptions or malformed inputs (CLI exit code 3), while
 ``NumericalError`` covers failures of numeric procedures such as
-factorizations or root finding (CLI exit code 4).
+factorizations or root finding (CLI exit code 4). The library's entry
+points share one finiteness check of their input arrays.
 """
+
+import numpy as np
 
 
 class DirquantError(Exception):
@@ -45,6 +48,17 @@ class UnsupportedDimensionError(DataError):
 
 class ResamplingError(DataError):
     """Bootstrap resampling could not retain enough usable rows."""
+
+
+def _require_finite(cells: np.ndarray, what: str = "sample cell") -> None:
+    """Raise DataError naming the first non-finite cell of a 2-D array,
+    with its 1-based row and column."""
+    finite = np.isfinite(cells)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise DataError(
+            f"non-finite {what} at row {i + 1}, column {j + 1}: {float(cells[i, j])!r}"
+        )
 
 
 class FactorizationError(NumericalError):

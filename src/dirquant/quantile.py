@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .bootstrap import KSelection, select_k
-from .errors import DataError, HeavyTailError, PositivityError
+from .errors import DataError, HeavyTailError, PositivityError, _require_finite
 from .evt import TailFit, extrapolate, fit_tails, frechet_weights
 from .geometry import Direction, RotationMatrix, rotate, rotation_for
 from .stdf import StdfContext, rho_hat_batch
@@ -210,12 +210,12 @@ class DirectionalFit:
         return tail_levels(self.context, points, self.rotation)
 
 
-def fit_direction(sample, u: Direction, k="auto", *, epsilon: float = 0.25,
-                  b1: int = 1000, seed: int = 0) -> DirectionalFit:
+def fit_direction(sample, u: Direction | RotationMatrix, k="auto", *,
+                  epsilon: float = 0.25, b1: int = 1000, seed: int = 0) -> DirectionalFit:
     """Rotate a finite (n, d) sample into direction u and fit its marginal tails.
 
-    With k="auto" the bootstrap selection (epsilon, b1, seed) supplies the
-    sample fraction.
+    ``u`` is the direction or its already built rotation. With k="auto" the
+    bootstrap selection (epsilon, b1, seed) supplies the sample fraction.
     """
     sample = np.asarray(sample, dtype=float)
     if sample.ndim != 2:
@@ -223,18 +223,13 @@ def fit_direction(sample, u: Direction, k="auto", *, epsilon: float = 0.25,
     n, d = sample.shape
     if n < MIN_ROWS:
         raise DataError(f"need at least {MIN_ROWS} rows, got {n}")
-    finite = np.isfinite(sample)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise DataError(
-            f"non-finite sample cell at row {i + 1}, column {j + 1}: {float(sample[i, j])!r}"
-        )
-    if not isinstance(u, Direction):
+    _require_finite(sample)
+    if not isinstance(u, (Direction, RotationMatrix)):
         u = Direction(np.asarray(u, dtype=float))
     if u.d != d:
         raise ValueError(f"direction dimension {u.d} does not match data d={d}")
 
-    r = rotation_for(u)
+    r = u if isinstance(u, RotationMatrix) else rotation_for(u)
     rotated = rotate(r, sample)
     selection = None
     if isinstance(k, str):
@@ -298,10 +293,11 @@ def tail_levels(
 
     ``u`` is the direction or its already built rotation. Points whose
     Frechet weights all vanish are outside the extremal region and get
-    alpha_z = +inf.
+    alpha_z = +inf; a non-finite coordinate raises DataError.
     """
     fit = ctx.fit if fit is None else fit
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
+    _require_finite(zs, "point coordinate")
     r = rotation_for(u) if not isinstance(u, RotationMatrix) else u
     zr = rotate(r, zs)
     gam = fit.gamma_marginal

@@ -265,13 +265,18 @@ def _model_rho(theta, rotated: TParams):
     return t_stdf(theta, rotated.correlation(), rotated.nu)
 
 
-def theoretical_rho(theta, params: TParams, u: Direction):
+def _rotated_model(params: TParams, u: Direction | RotationMatrix) -> TParams:
+    return rotate_elliptical(params, u if isinstance(u, RotationMatrix) else rotation_for(u))
+
+
+def theoretical_rho(theta, params: TParams, u: Direction | RotationMatrix):
     """Theoretical scalar radius of the rotated model at interior angles.
 
     ``theta`` is one angle (d,), giving a float, or a stack (g, d), giving
-    g radii; the model is rotated once per call.
+    g radii; the model is rotated once per call. ``u`` is the direction or
+    its already built rotation.
     """
-    return _model_rho(theta, rotate_elliptical(params, rotation_for(u)))
+    return _model_rho(theta, _rotated_model(params, u))
 
 
 def theoretical_norm_sequences(params: TParams, j: int, t: float):
@@ -299,14 +304,16 @@ def theoretical_norm_sequences(params: TParams, j: int, t: float):
     return params.gamma * b, b
 
 
-def asymptotic_quantile(params: TParams, u: Direction, alpha: float, theta, t: float):
+def asymptotic_quantile(params: TParams, u: Direction | RotationMatrix, alpha: float,
+                        theta, t: float):
     """Asymptotic quantile point of the rotated model along angle theta.
 
     Returns the point in rotated coordinates built from the theoretical
-    radius and normalization sequences at anchor t.
+    radius and normalization sequences at anchor t. ``u`` is the direction
+    or its already built rotation.
     """
     theta = np.asarray(theta, dtype=float)
-    rotated = rotate_elliptical(params, rotation_for(u))
+    rotated = _rotated_model(params, u)
     rho = _model_rho(theta, rotated)
     a, b = np.array([theoretical_norm_sequences(rotated, j, t) for j in range(params.d)]).T
     return extrapolate(rho * theta / (t * alpha), a, b, params.gamma)

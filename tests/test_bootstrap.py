@@ -13,7 +13,6 @@ from dirquant import (
     diagonal_direction,
     fpc_direction,
     optimal_k_for_size,
-    optimal_k_from_resamples,
     orthant_leq,
     rotate,
     rotation_for,
@@ -28,6 +27,27 @@ LN2 = math.log(2.0)
 
 def pareto_sample(rng, n, d, gamma=1.0):
     return rng.uniform(size=(n, d)) ** (-gamma)
+
+
+def optimal_k_from_resamples(resamples) -> np.ndarray:
+    """Per-marginal argmin of the error averaged over given retained
+    resamples, through the same block kernel as optimal_k_for_size."""
+    resamples = [np.atleast_2d(np.asarray(r, dtype=float)) for r in resamples]
+    if any((r <= 0).any() for r in resamples):
+        raise PositivityError("profiles require all values positive")
+    d = resamples[0].shape[1]
+    size = max(r.shape[0] for r in resamples) + 2
+    sums = np.zeros((d, size))
+    counts = np.zeros((d, size))
+    for start in range(0, len(resamples), bootstrap.BLOCK):
+        block = resamples[start:start + bootstrap.BLOCK]
+        values = np.full((d, len(block), size), bootstrap._PAD)
+        keep = np.zeros((len(block), size), dtype=bool)
+        for i, rows in enumerate(block):
+            values[:, i, : rows.shape[0]] = rows.T
+            keep[i, : rows.shape[0]] = True
+        bootstrap._add_error_curves(sums, counts, values, keep)
+    return bootstrap._argmin_per_marginal(sums, counts, len(resamples))
 
 
 class TestBootstrapError:
@@ -163,6 +183,109 @@ def loop_sums(sample, m, b, seed, stage=1, floor=10):
                 sums[j, k] += (m2 - 2.0 * m1 * m1) ** 2
                 counts[j, k] += 1
     return sums, counts
+
+
+def numpy_draws(n, m, seed, stage, indices):
+    return np.stack([np.random.default_rng([seed, stage, i]).integers(0, n, m)
+                     for i in indices])
+
+
+@pytest.fixture
+def fresh_probe():
+    bootstrap._replay_matches_numpy.cache_clear()
+    yield
+    bootstrap._replay_matches_numpy.cache_clear()
+
+
+class TestStreamReplay:
+    """The batched first draws equal default_rng([seed, stage, i]).integers(0, n, m)."""
+
+    def test_probe_passes_on_installed_numpy(self, fresh_probe):
+        assert bootstrap._replay_matches_numpy()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.one_of(st.integers(0, 2**32 - 1), st.sampled_from([0, 2**32 - 1]),
+                       st.integers(2**32, 2**40)),
+        stage=st.sampled_from([1, 2]),
+        n=st.sampled_from([2, 3, 5000, 2**31, 2**32 - 1]),
+        m=st.one_of(st.sampled_from([1, 2]), st.integers(1, 65)),
+        indices=st.lists(st.one_of(st.integers(0, 2000), st.just(2**32 - 1)),
+                         min_size=1, max_size=5),
+    )
+    def test_batch_equals_numpy_streams(self, seed, stage, n, m, indices):
+        want = numpy_draws(n, m, seed, stage, indices)
+        assert np.array_equal(bootstrap._first_draws(n, m, seed, stage, indices), want)
+        if seed < 2**32:
+            # the replay itself, before any stream goes back to numpy
+            draws, exact = bootstrap._replayed_draws(n, m, seed, stage, indices)
+            assert np.array_equal(draws[exact], want[exact])
+
+    def test_lemire_rejection_goes_to_numpy(self):
+        # about half of all 32-bit words are rejected for n = 2^31 + 1
+        n, indices = 2**31 + 1, range(40)
+        _, exact = bootstrap._replayed_draws(n, 3, 5, 1, indices)
+        assert 0 < exact.sum() < len(indices)
+        assert np.array_equal(bootstrap._first_draws(n, 3, 5, 1, indices),
+                              numpy_draws(n, 3, 5, 1, indices))
+
+    def test_rejection_inside_paper_run(self):
+        # resample 651 of stage 1 in the PAPER_2D run rejects one word
+        _, exact = bootstrap._replayed_draws(5000, 594, 7, 1, range(640, 660))
+        assert np.flatnonzero(~exact).tolist() == [11]
+        assert np.array_equal(bootstrap._first_draws(5000, 594, 7, 1, range(640, 660)),
+                              numpy_draws(5000, 594, 7, 1, range(640, 660)))
+
+    def test_redraws_continue_the_stream(self):
+        sample = half_positive_sample(31)
+        sample[:300, 0] *= -1.0  # about a quarter of the rows stay positive
+        columns = np.ascontiguousarray(sample.T)
+        values, keep = bootstrap._draw_block(columns, 40, 3, 1, range(60), 10)
+        redrawn = 0
+        for i in range(60):
+            rng = np.random.default_rng([3, 1, i])
+            for attempt in range(100):
+                rows = sample[rng.integers(0, 600, 40)]
+                if (rows > 0).all(axis=1).sum() >= 10:
+                    break
+            redrawn += attempt > 0
+            assert np.array_equal(values[:, i], rows.T)
+            assert np.array_equal(keep[i], (rows > 0).all(axis=1))
+        assert redrawn > 0
+
+    def test_last_of_redraw_attempts_is_accepted(self):
+        # resample 553 first keeps 5 positive rows on its 100th draw
+        rng = np.random.default_rng(61)
+        sample = rng.uniform(size=(400, 2)) ** -0.5
+        sample[:360, 0] *= -1.0
+        stream = np.random.default_rng([0, 1, 553])
+        draws = [sample[stream.integers(0, 400, 20)] for _ in range(bootstrap.REDRAW_ATTEMPTS)]
+        kept = [int((rows > 0).all(axis=1).sum()) for rows in draws]
+        assert max(kept[:-1]) < 5 <= kept[-1]
+        values, _ = bootstrap._draw_block(np.ascontiguousarray(sample.T), 20, 0, 1,
+                                          range(553, 554), 5)
+        assert np.array_equal(values[:, 0], draws[-1].T)
+
+    def test_outside_domain_raises_as_numpy(self):
+        with pytest.raises(ValueError) as ours:
+            bootstrap._first_draws(100, 5, -1, 1, range(3))
+        with pytest.raises(ValueError) as theirs:
+            np.random.default_rng([-1, 1, 0])
+        assert str(ours.value) == str(theirs.value)
+        assert np.array_equal(bootstrap._first_draws(1, 5, 0, 1, range(3)),
+                              np.zeros((3, 5), dtype=np.int64))
+
+    def test_probe_failure_sends_every_stream_to_numpy(self, fresh_probe, monkeypatch):
+        real = bootstrap._replayed_draws
+
+        def shifted(*args):
+            draws, exact = real(*args)
+            return draws + 1, exact
+
+        monkeypatch.setattr(bootstrap, "_replayed_draws", shifted)
+        assert not bootstrap._replay_matches_numpy()
+        assert np.array_equal(bootstrap._first_draws(5000, 31, 7, 1, range(50)),
+                              numpy_draws(5000, 31, 7, 1, range(50)))
 
 
 class TestConvergenceRate:

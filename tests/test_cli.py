@@ -18,7 +18,7 @@ from dirquant import (
     flag_outliers,
     sample_t,
 )
-from dirquant import cli, tmodel
+from dirquant import cli, geometry, quantile, tmodel
 from dirquant.cli import (
     main,
     parse_alpha,
@@ -287,6 +287,25 @@ class TestCommands:
                                          "rho", "floored"}
         assert doc["gamma"] == pytest.approx(1 / 3)
         assert abs(doc["direction"][0]) > 0.99
+
+    @pytest.mark.parametrize("command", [
+        ["oracle-t", "--alpha", "1/5000", "--n", "5000", "--k", "100", "--grid", "3"],
+        ["mc-study", "--n", "2000", "--replicates", "3", "--k", "100", "--grid", "3",
+         "--seed", "41"],
+    ])
+    def test_oracle_commands_build_one_rotation(self, command, tmp_path, monkeypatch):
+        real = geometry.rotation_for
+        calls = []
+
+        def counted(u):
+            calls.append(u)
+            return real(u)
+
+        for module in (cli, tmodel, quantile):
+            monkeypatch.setattr(module, "rotation_for", counted)
+        model = ["--mu", MU2, "--sigma", SIG2, "--nu", "3", "--direction", "fpc"]
+        assert main([*command, *model, "--output", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
 
     def test_oracle_points_reuse_radius_and_norm_sequences(self, tmp_path, monkeypatch):
         calls = {"theoretical_rho": 0, "theoretical_norm_sequences": 0}

@@ -259,18 +259,27 @@ class TestFitDirection:
                               flag_outliers(sample_2d, u, 0.01, k=200).alpha_z)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("entry", ["estimate", "flag"])
+    @pytest.mark.parametrize("entry", ["estimate", "flag", "fit", "select_k", "levels"])
     def test_non_finite_cell_named(self, entry, bad, sample_2d):
-        from dirquant import DataError
+        from dirquant import DataError, select_k
 
         data = sample_2d.copy()
         data[2, 1] = bad
+        u = diagonal_direction(2)
         with pytest.raises(DataError) as info:
             if entry == "estimate":
-                estimate_surface(data, diagonal_direction(2), 1e-3, k=200)
+                estimate_surface(data, u, 1e-3, k=200)
+            elif entry == "flag":
+                flag_outliers(data, u, 0.01, k=200)
+            elif entry == "fit":
+                quantile.fit_direction(data, u, k=200)
+            elif entry == "select_k":
+                select_k(data, b1=10, seed=0)
             else:
-                flag_outliers(data, diagonal_direction(2), 0.01, k=200)
-        assert str(info.value) == f"non-finite sample cell at row 3, column 2: {bad!r}"
+                fitted = quantile.fit_direction(sample_2d, u, k=200)
+                tail_levels(fitted.context, data[:5], fitted.rotation)
+        what = "point coordinate" if entry == "levels" else "sample cell"
+        assert str(info.value) == f"non-finite {what} at row 3, column 2: {bad!r}"
 
     def test_flag_shares_estimate_input_checks(self, sample_2d):
         from dirquant import DataError
