@@ -8,7 +8,15 @@ and an estimated convergence rate combine into the final k(n).
 Resamples are drawn with replacement from the full rotated sample, then
 rows with any non-positive component are dropped; a resample retaining
 fewer rows than a floor is redrawn from the same stream. Resamples are
-drawn and their error curves computed in blocks, one sort per block.
+drawn and their error curves computed in blocks of row indices.
+
+The error curves need each resample's retained values in descending
+order and their logs, which depend only on the sample. So each stage
+first builds a rank table: for every marginal, the place of each
+positive row in descending order of that marginal (rows not positive in
+every component take a sentinel place after all of them), and the log of
+the value at each place. A block then sorts the small integer places of
+its draws, cuts them to the widest resample and gathers their logs.
 
 Resample i of stage s draws its rows as
 ``np.random.default_rng([seed, s, i]).integers(0, n, m)``, then its
@@ -38,7 +46,7 @@ from .errors import (
     SmallSampleWarning,
     _require_finite,
 )
-from .evt import log_moment, log_moment_profiles
+from .evt import _descending_logs, _profiles_from_logs, log_moment
 
 REDRAW_ATTEMPTS = 100
 DEFAULT_MIN_RETAINED = 10
@@ -46,12 +54,9 @@ DEFAULT_MIN_RETAINED = 10
 # needs k = 2, hence at least three positive rows.
 HARD_MIN_RETAINED = 3
 # Resamples drawn and reduced together. In select_k at n = 5000, b1 = 1000
-# a block of 128 peaks at about 6 MiB of traced allocations; all 1000
-# resamples at once peak at about 46 MiB.
+# a block of 128 peaks at about 4.5 MiB of traced allocations; all 1000
+# resamples at once peak at about 34 MiB.
 BLOCK = 128
-# Stands in for dropped rows: it sorts below every retained (positive)
-# value and its logarithm is finite.
-_PAD = np.nextafter(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -186,7 +191,9 @@ def _replayed_draws(n: int, m: int, seed: int, stage: int, indices):
     # half falls below 2^32 mod n.
     words = raw.astype("<u8", copy=False).view("<u4")[:, :m]
     exact = (words * np.uint32(n) >= np.uint32((1 << 32) % n)).all(axis=1)
-    draws = words.astype(np.uint64) * np.uint64(n) >> np.uint64(32)
+    draws = words.astype(np.uint64)
+    draws *= np.uint64(n)
+    draws >>= np.uint64(32)
     return draws.view(np.int64), exact
 
 
@@ -221,24 +228,51 @@ def _first_draws(n: int, m: int, seed: int, stage: int, indices) -> np.ndarray:
     return draws
 
 
-def _draw_block(columns: np.ndarray, m: int, seed: int, stage: int, indices,
+def _rank_table(sample: np.ndarray):
+    """Positive-orthant mask, ranks and logs of a finite (n, d) sample.
+
+    Returns ``pos``, the (n,) mask of rows positive in every component;
+    ``rank`` (d, n), where ``rank[j, i]`` is the flat index into ``logs``
+    of row i's value in marginal j; and ``logs`` (d, npos + 1), whose
+    ``logs[j, r]`` is the log of the r-th largest value of marginal j
+    among the ``npos`` positive rows. Rows outside ``pos`` index the
+    sentinel slot r = npos, which holds a finite pad, so a sort of ranks
+    puts them after every positive row. Tied values take distinct
+    places, whose logs are equal.
+    """
+    n, d = sample.shape
+    pos = (sample > 0).all(axis=1)
+    positive = sample[pos].T
+    npos = positive.shape[1]
+    order = np.argsort(positive, axis=1)
+    logs = np.zeros((d, npos + 1))
+    logs[:, :npos] = _descending_logs(np.take_along_axis(positive, order, axis=1))
+    place = np.empty((d, npos), dtype=np.intp)
+    np.put_along_axis(place, order, np.arange(npos - 1, -1, -1), axis=1)
+    rank = np.full((d, n), npos, dtype=np.intp)
+    rank[:, pos] = place
+    rank += np.arange(d)[:, None] * (npos + 1)
+    return pos, rank, logs
+
+
+def _draw_block(pos: np.ndarray, m: int, seed: int, stage: int, indices,
                 min_retained: int):
     """Draw the resamples ``indices`` of one stage, each from its own stream.
 
-    Returns the drawn values by marginal, shape (d, B, m), and the (B, m)
-    mask of rows positive in every component. A resample retaining fewer
-    than ``min_retained`` rows is redrawn from its stream, up to
+    Returns the (B, m) drawn row indices and the (B, m) mask ``pos[draws]``
+    of rows positive in every component. A resample retaining fewer than
+    ``min_retained`` rows is redrawn from its stream, up to
     REDRAW_ATTEMPTS draws in all.
     """
-    n = columns.shape[1]
-    values = columns.take(_first_draws(n, m, seed, stage, indices), axis=1)
-    keep = (values > 0).all(axis=0)
+    n = pos.size
+    draws = _first_draws(n, m, seed, stage, indices)
+    keep = pos[draws]
     for i in np.flatnonzero(keep.sum(axis=1) < min_retained):
         rng = np.random.default_rng([seed, stage, indices[i]])
-        rng.integers(0, n, m)  # the first draw, already in ``values``
+        rng.integers(0, n, m)  # the first draw, already in ``draws``
         for _ in range(REDRAW_ATTEMPTS - 1):
-            values[:, i] = columns.take(rng.integers(0, n, m), axis=1)
-            keep[i] = (values[:, i] > 0).all(axis=0)
+            draws[i] = rng.integers(0, n, m)
+            keep[i] = pos[draws[i]]
             if keep[i].sum() >= min_retained:
                 break
         else:
@@ -246,35 +280,47 @@ def _draw_block(columns: np.ndarray, m: int, seed: int, stage: int, indices,
                 f"resamples of size {m} kept fewer than {min_retained} positive rows "
                 f"in {REDRAW_ATTEMPTS} attempts; too little mass in the positive orthant"
             )
-    return values, keep
+    return draws, keep
 
 
-def _add_error_curves(sums: np.ndarray, counts: np.ndarray, values: np.ndarray,
-                      keep: np.ndarray) -> None:
+def _add_error_curves(sums: np.ndarray, counts: np.ndarray, rank: np.ndarray,
+                      logs: np.ndarray, draws: np.ndarray, keep: np.ndarray) -> None:
     """Add the error curves of a block of resamples onto the running sums.
 
-    ``values`` (d, B, w) holds B resamples by marginal and ``keep`` (B, w)
-    marks their retained rows. A resample retaining r rows contributes
-    its error at k = 2, ..., r-1 to ``sums[:, k]`` and ``counts[:, k]``.
+    ``rank`` and ``logs`` are the sample's ``_rank_table``; ``draws``
+    (B, w) holds B resamples' row indices and ``keep`` (B, w) marks their
+    retained rows. A resample retaining r rows contributes its error at
+    k = 2, ..., r-1 to ``sums[:, k]`` and ``counts[:, k]``.
     """
     retained = keep.sum(axis=1)
     if retained.min() < 2:
         raise ValueError("need at least two observations")
     width = int(retained.max())
-    # Dropped rows sort below every retained one, so each row's top
-    # ``retained`` values are its retained rows in order; columns left of
-    # the widest resample hold padding only and are cut.
-    ordered = np.sort(np.where(keep, values, _PAD), axis=-1)
-    m1, m2 = log_moment_profiles(ordered[..., ordered.shape[-1] - width:])
-    err = (m2 - 2.0 * m1 * m1) ** 2
-    ks = np.arange(width)
-    valid = (ks >= 2) & (ks < retained[:, None]) & ~np.isnan(err)
+    # Ascending rank is descending value and the sentinel sorts last, so
+    # each resample's first ``retained`` ranks are its retained rows in
+    # order; columns right of the widest resample hold sentinels only.
+    ranks = rank.take(draws, axis=1)
+    ranks.sort(axis=-1)
+    m1, m2 = _profiles_from_logs(logs.take(ranks[..., :width]))
     # Reducing the running sums and the block over the resample axis adds
     # one resample after another, as a loop over resamples would; summing
     # the block first would regroup the additions and change the last bits.
-    block = np.concatenate([sums[:, None, :width], np.where(valid, err, 0.0)], axis=1)
-    sums[:, :width] = block.sum(axis=1)
-    counts[:, :width] += valid.sum(axis=1)
+    # So the running sums go into row 0 of one buffer and the errors
+    # (M2 - 2 M1^2)^2 at k = 1, ..., width-1, computed in place in that
+    # order, into rows 1, ..., B.
+    d, b, w = m1.shape
+    block = np.empty((d, b + 1, w))
+    err = block[:, 1:]
+    np.multiply(2.0, m1, out=err)
+    err *= m1
+    np.subtract(m2, err, out=err)
+    err *= err
+    ks = np.arange(1, width)
+    valid = (ks >= 2) & (ks < retained[:, None])
+    err[:, ~valid] = 0.0
+    block[:, 0] = sums[:, 1:width]
+    sums[:, 1:width] = block.sum(axis=1)
+    counts[:, 1:width] += valid.sum(axis=0)
 
 
 def _argmin_per_marginal(sums: np.ndarray, counts: np.ndarray, b: int) -> np.ndarray:
@@ -306,16 +352,17 @@ def optimal_k_for_size(
     not depend on how resamples are grouped into blocks.
     """
     sample = np.atleast_2d(np.asarray(rotated_sample, dtype=float))
+    _require_finite(sample)
     if b < 1:
         raise ValueError(f"need at least one resample, got b={b}")
-    columns = np.ascontiguousarray(sample.T)
+    pos, rank, logs = _rank_table(sample)
     d = sample.shape[1]
     sums = np.zeros((d, m + 2))
     counts = np.zeros((d, m + 2))
     for start in range(0, b, BLOCK):
         indices = range(start, min(start + BLOCK, b))
-        values, keep = _draw_block(columns, m, seed, stage, indices, min_retained)
-        _add_error_curves(sums, counts, values, keep)
+        draws, keep = _draw_block(pos, m, seed, stage, indices, min_retained)
+        _add_error_curves(sums, counts, rank, logs, draws, keep)
     return _argmin_per_marginal(sums, counts, b)
 
 

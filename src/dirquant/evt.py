@@ -163,26 +163,47 @@ def log_moment_profiles(sorted_values):
     direct spacing sums up to roundoff.
     """
     s = np.asarray(sorted_values, dtype=float)
-    n = s.shape[-1]
-    if n < 2:
+    if s.shape[-1] < 2:
         raise ValueError("need at least two observations")
     if (s[..., 0] <= 0).any():
         raise PositivityError("profiles require all values positive")
-    # Logs of the descending values. np.log takes its SIMD loop on
-    # contiguous input and its scalar loop on a reversed view, and on
-    # AVX-512 hosts the two differ in the last bit; the reversed flat view
-    # keeps every sample on the scalar loop, so each row matches a
-    # one-dimensional call exactly.
-    logs = np.log(s.ravel()[::-1]).reshape(s.shape)
-    logs = logs[(slice(None, None, -1),) * (s.ndim - 1)]
-    c1 = np.cumsum(logs, axis=-1)[..., :-1]
-    c2 = np.cumsum(logs * logs, axis=-1)[..., :-1]
-    ks = np.arange(1, n, dtype=float)
-    thr = logs[..., 1:]
-    mean1 = c1 / ks
+    m1, m2 = _profiles_from_logs(_descending_logs(s))
     nan = np.full(s.shape[:-1] + (1,), np.nan)
-    m1 = np.concatenate([nan, mean1 - thr], axis=-1)
-    m2 = np.concatenate([nan, c2 / ks - 2.0 * thr * mean1 + thr * thr], axis=-1)
+    return np.concatenate([nan, m1], axis=-1), np.concatenate([nan, m2], axis=-1)
+
+
+def _descending_logs(sorted_values: np.ndarray) -> np.ndarray:
+    """Logs of ascending ``sorted_values``, descending along the last axis.
+
+    np.log takes its SIMD loop on contiguous input and its scalar loop on
+    a reversed view, and on AVX-512 hosts the two differ in the last bit;
+    the reversed flat view keeps every sample on the scalar loop, so each
+    row matches a one-dimensional ``np.log(s[::-1])`` exactly.
+    """
+    s = sorted_values
+    logs = np.log(s.ravel()[::-1]).reshape(s.shape)
+    return logs[(slice(None, None, -1),) * (s.ndim - 1)]
+
+
+def _profiles_from_logs(logs: np.ndarray):
+    """M1 and M2 at k = 1, ..., n-1, at index k-1 of the last axis, from
+    the logs of descending values.
+
+    M2 is c2/k - 2 thr mean1 + thr^2, evaluated left to right; the
+    in-place steps keep that order and save a temporary each.
+    """
+    ks = np.arange(1, logs.shape[-1], dtype=float)
+    head, thr = logs[..., :-1], logs[..., 1:]
+    mean1 = np.cumsum(head, axis=-1)
+    mean1 /= ks
+    m1 = mean1 - thr
+    m2 = np.cumsum(head * head, axis=-1)
+    m2 /= ks
+    term = 2.0 * thr
+    term *= mean1
+    m2 -= term
+    np.multiply(thr, thr, out=term)
+    m2 += term
     return m1, m2
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirquant import (
@@ -31,22 +31,28 @@ def pareto_sample(rng, n, d, gamma=1.0):
 
 def optimal_k_from_resamples(resamples) -> np.ndarray:
     """Per-marginal argmin of the error averaged over given retained
-    resamples, through the same block kernel as optimal_k_for_size."""
+    resamples, through the same block kernel as optimal_k_for_size.
+
+    The resamples are stacked into one sample, after which a zero row
+    pads each resample's row indices to a common width.
+    """
     resamples = [np.atleast_2d(np.asarray(r, dtype=float)) for r in resamples]
     if any((r <= 0).any() for r in resamples):
         raise PositivityError("profiles require all values positive")
     d = resamples[0].shape[1]
     size = max(r.shape[0] for r in resamples) + 2
+    sample = np.concatenate(resamples + [np.zeros((1, d))])
+    pos, rank, logs = bootstrap._rank_table(sample)
+    draws = np.full((len(resamples), size), sample.shape[0] - 1)
+    start = 0
+    for i, rows in enumerate(resamples):
+        draws[i, : rows.shape[0]] = np.arange(start, start + rows.shape[0])
+        start += rows.shape[0]
     sums = np.zeros((d, size))
     counts = np.zeros((d, size))
     for start in range(0, len(resamples), bootstrap.BLOCK):
-        block = resamples[start:start + bootstrap.BLOCK]
-        values = np.full((d, len(block), size), bootstrap._PAD)
-        keep = np.zeros((len(block), size), dtype=bool)
-        for i, rows in enumerate(block):
-            values[:, i, : rows.shape[0]] = rows.T
-            keep[i, : rows.shape[0]] = True
-        bootstrap._add_error_curves(sums, counts, values, keep)
+        block = draws[start:start + bootstrap.BLOCK]
+        bootstrap._add_error_curves(sums, counts, rank, logs, block, pos[block])
     return bootstrap._argmin_per_marginal(sums, counts, len(resamples))
 
 
@@ -136,6 +142,59 @@ class TestOptimalK:
         assert np.array_equal(sums, ref_sums)
         assert np.array_equal(counts, ref_counts)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        floor=st.sampled_from([3, 10]),
+        extra=st.integers(0, 44),
+        data_seed=st.integers(0, 2**32 - 1),
+        decimals=st.sampled_from([None, 0, 1]),
+        duplicated=st.booleans(),
+        dropped=st.sampled_from([0.0, 0.25, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # about 40% of these first draws keep fewer than 10 rows
+    @example(d=2, floor=10, extra=0, data_seed=5, decimals=1, duplicated=True,
+             dropped=0.5, seed=0)
+    def test_sums_match_loop_on_ties_and_nonpositive_cells(
+        self, d, floor, extra, data_seed, decimals, duplicated, dropped, seed
+    ):
+        # m of at least twice the floor keeps at least half the rows in
+        # expectation, so no stream runs out of redraws
+        rng = np.random.default_rng(data_seed)
+        n, m = 120, 2 * floor + extra
+        sample = pareto_sample(rng, n, d, 0.7)
+        if decimals is not None:
+            sample = np.round(sample, decimals)
+        if duplicated:
+            sample[n // 2:] = sample[rng.integers(0, n // 2, n - n // 2)]
+        hit = np.flatnonzero(rng.uniform(size=n) < dropped)
+        sample[hit, rng.integers(0, d, hit.size)] = rng.choice([0.0, -0.0, -1.5], hit.size)
+        with pytest.MonkeyPatch.context() as mp:
+            sums, counts = kernel_sums(mp, sample, m, 30, seed, floor)
+        ref_sums, ref_counts = loop_sums(sample, m, 30, seed, floor=floor)
+        assert np.array_equal(sums, ref_sums)
+        assert np.array_equal(counts, ref_counts)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rank_table_logs_match_sorted_columns(self, d):
+        rng = np.random.default_rng(40 + d)
+        sample = np.round(pareto_sample(rng, 500, d, 0.7), 2)
+        sample[:100, d - 1] = 0.0
+        sample[100:200, 0] *= -1.0
+        sample[300:] = sample[rng.integers(0, 300, 200)]
+        pos, rank, logs = bootstrap._rank_table(sample)
+        npos = int(pos.sum())
+        assert np.array_equal(pos, (sample > 0).all(axis=1))
+        assert logs.shape == (d, npos + 1) and np.isfinite(logs).all()
+        for j in range(d):
+            column = sample[pos, j]
+            assert np.array_equal(logs[j, :npos], np.log(np.sort(column)[::-1]))
+            place = rank[j] - j * (npos + 1)
+            assert (place[~pos] == npos).all()
+            assert np.array_equal(np.sort(place[pos]), np.arange(npos))
+            assert np.array_equal(column[np.argsort(place[pos])], np.sort(column)[::-1])
+
 
 def half_positive_sample(seed):
     rng = np.random.default_rng(seed)
@@ -144,7 +203,7 @@ def half_positive_sample(seed):
     return sample
 
 
-def kernel_sums(monkeypatch, sample, m, b, seed):
+def kernel_sums(monkeypatch, sample, m, b, seed, floor=10):
     """Running sums and counts as optimal_k_for_size hands them to the argmin."""
     captured = []
     real = bootstrap._argmin_per_marginal
@@ -154,7 +213,7 @@ def kernel_sums(monkeypatch, sample, m, b, seed):
         return real(sums, counts, b)
 
     monkeypatch.setattr(bootstrap, "_argmin_per_marginal", spy)
-    optimal_k_for_size(sample, m, b, seed=seed)
+    optimal_k_for_size(sample, m, b, seed=seed, min_retained=floor)
     monkeypatch.setattr(bootstrap, "_argmin_per_marginal", real)
     return captured[0]
 
@@ -180,7 +239,10 @@ def loop_sums(sample, m, b, seed, stage=1, floor=10):
                 mean1 = c1[k - 1] / k
                 m1 = mean1 - thr
                 m2 = c2[k - 1] / k - 2.0 * thr * mean1 + thr * thr
-                sums[j, k] += (m2 - 2.0 * m1 * m1) ** 2
+                # a product, as numpy squares arrays: the scalar ** 2 calls
+                # libm's pow, which can miss the correctly rounded square
+                dev = m2 - 2.0 * m1 * m1
+                sums[j, k] += dev * dev
                 counts[j, k] += 1
     return sums, counts
 
@@ -239,8 +301,8 @@ class TestStreamReplay:
     def test_redraws_continue_the_stream(self):
         sample = half_positive_sample(31)
         sample[:300, 0] *= -1.0  # about a quarter of the rows stay positive
-        columns = np.ascontiguousarray(sample.T)
-        values, keep = bootstrap._draw_block(columns, 40, 3, 1, range(60), 10)
+        draws, keep = bootstrap._draw_block((sample > 0).all(axis=1), 40, 3, 1,
+                                            range(60), 10)
         redrawn = 0
         for i in range(60):
             rng = np.random.default_rng([3, 1, i])
@@ -249,7 +311,7 @@ class TestStreamReplay:
                 if (rows > 0).all(axis=1).sum() >= 10:
                     break
             redrawn += attempt > 0
-            assert np.array_equal(values[:, i], rows.T)
+            assert np.array_equal(sample[draws[i]], rows)
             assert np.array_equal(keep[i], (rows > 0).all(axis=1))
         assert redrawn > 0
 
@@ -262,9 +324,10 @@ class TestStreamReplay:
         draws = [sample[stream.integers(0, 400, 20)] for _ in range(bootstrap.REDRAW_ATTEMPTS)]
         kept = [int((rows > 0).all(axis=1).sum()) for rows in draws]
         assert max(kept[:-1]) < 5 <= kept[-1]
-        values, _ = bootstrap._draw_block(np.ascontiguousarray(sample.T), 20, 0, 1,
-                                          range(553, 554), 5)
-        assert np.array_equal(values[:, 0], draws[-1].T)
+        drawn, keep = bootstrap._draw_block((sample > 0).all(axis=1), 20, 0, 1,
+                                            range(553, 554), 5)
+        assert np.array_equal(sample[drawn[0]], draws[-1])
+        assert np.array_equal(keep[0], (draws[-1] > 0).all(axis=1))
 
     def test_outside_domain_raises_as_numpy(self):
         with pytest.raises(ValueError) as ours:

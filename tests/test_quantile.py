@@ -259,9 +259,11 @@ class TestFitDirection:
                               flag_outliers(sample_2d, u, 0.01, k=200).alpha_z)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("entry", ["estimate", "flag", "fit", "select_k", "levels"])
+    @pytest.mark.parametrize(
+        "entry", ["estimate", "flag", "fit", "select_k", "optimal_k_for_size", "levels"]
+    )
     def test_non_finite_cell_named(self, entry, bad, sample_2d):
-        from dirquant import DataError, select_k
+        from dirquant import DataError, optimal_k_for_size, select_k
 
         data = sample_2d.copy()
         data[2, 1] = bad
@@ -275,6 +277,8 @@ class TestFitDirection:
                 quantile.fit_direction(data, u, k=200)
             elif entry == "select_k":
                 select_k(data, b1=10, seed=0)
+            elif entry == "optimal_k_for_size":
+                optimal_k_for_size(data, 50, 5, seed=0)
             else:
                 fitted = quantile.fit_direction(sample_2d, u, k=200)
                 tail_levels(fitted.context, data[:5], fitted.rotation)
