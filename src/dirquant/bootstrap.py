@@ -337,6 +337,12 @@ def _argmin_per_marginal(sums: np.ndarray, counts: np.ndarray, b: int) -> np.nda
     return out
 
 
+def _as_columns(rotated_sample) -> np.ndarray:
+    """The sample as an (n, d) array; a 1-D sample is n rows of one marginal."""
+    sample = np.asarray(rotated_sample, dtype=float)
+    return sample[:, None] if sample.ndim == 1 else sample
+
+
 def optimal_k_for_size(
     rotated_sample,
     m: int,
@@ -351,7 +357,7 @@ def optimal_k_for_size(
     and adds its error curve to the sums in index order, so results do
     not depend on how resamples are grouped into blocks.
     """
-    sample = np.atleast_2d(np.asarray(rotated_sample, dtype=float))
+    sample = _as_columns(rotated_sample)
     _require_finite(sample)
     if b < 1:
         raise ValueError(f"need at least one resample, got b={b}")
@@ -395,7 +401,7 @@ def select_k(
     2000/2^d, where the resample sizes are too small for the two-stage
     procedure to be meaningful.
     """
-    sample = np.atleast_2d(np.asarray(rotated_sample, dtype=float))
+    sample = _as_columns(rotated_sample)
     _require_finite(sample)
     n, d = sample.shape
     if not (0.0 < epsilon < 0.5):

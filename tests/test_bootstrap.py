@@ -93,6 +93,13 @@ class TestOptimalK:
         k2 = optimal_k_for_size(sample, 150, 50, seed=9)
         assert np.array_equal(k1, k2)
 
+    def test_one_dimensional_sample_is_one_marginal(self):
+        rng = np.random.default_rng(29)
+        x = pareto_sample(rng, 3000, 1)[:, 0]
+        got = optimal_k_for_size(x, 400, 30, seed=5)
+        assert got.shape == (1,)
+        assert np.array_equal(got, optimal_k_for_size(x[:, None], 400, 30, seed=5))
+
     def test_exact_pareto_error_curve_flat_and_small(self):
         # exponential log-spacings satisfy the moment relation in
         # expectation, so the error stays uniformly small over a wide k range
@@ -382,6 +389,15 @@ class TestSelectK:
         assert sel.m2 == 22
         assert not sel.fallback
         assert 2 <= sel.k_hat <= 499
+
+    def test_one_dimensional_sample_is_one_marginal(self):
+        rng = np.random.default_rng(41)
+        x = pareto_sample(rng, 3000, 1)[:, 0]
+        sel = select_k(x, b1=20, seed=3)
+        assert not sel.fallback
+        assert (sel.n, sel.m1, sel.m2) == (3000, 405, 54)
+        assert sel.k_j_m1.shape == (1,)
+        assert sel.to_dict() == select_k(x[:, None], b1=20, seed=3).to_dict()
 
     def test_same_seed_identical(self):
         rng = np.random.default_rng(37)

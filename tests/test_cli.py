@@ -500,6 +500,24 @@ class TestExitCodes:
         assert "estimate" in proc.stdout
 
 
+def test_parser_built_once_per_process(monkeypatch):
+    built, ran = [], []
+    real = cli.make_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "make_parser", counted)
+    cli._shared_parser.cache_clear()
+    monkeypatch.setattr(cli, "cmd_rotate", lambda cfg: ran.append(("rotate", cfg.direction)) or 0)
+    monkeypatch.setattr(cli, "cmd_flag", lambda cfg: ran.append(("flag", cfg.alpha)) or 0)
+    assert main(["rotate", "--direction", "fpc"]) == 0
+    assert main(["flag", "--alpha", "0.01"]) == 0
+    assert built == [1]
+    assert ran == [("rotate", "fpc"), ("flag", "0.01")]
+
+
 # ---------------------------------------------------------------------------
 # byte stability: sha256 of every output file of small fixed-seed commands
 
@@ -604,12 +622,12 @@ BYTE_DIGESTS = {
     },
     "mc-study-3d": {
         ".replicates.csv": "b0cfd5189d338103a64683aaa91ec210f23e39069c055bc9ffd8dba39834681e",
-        ".rho.csv": "c675bdf37e23c7d06a3414c676ab3b55a7748a9a15577a2e1a3410fbbe262dab",
-        ".bands.csv": "0267f82c0500db4f0a01340b51c320bbbfb087f5b887d71a4607697a4edadd86",
+        ".rho.csv": "f41c4c1d9683048a69a1fcd2d6f1eda2c730c211cf3d6f8137b2946ce76a4509",
+        ".bands.csv": "dbb324876500b0d389556ace3e4de2a24271f3fff4e485c2f2b0448194cb0183",
         ".summary.json": "2183cd0c9a768a8eb8377571aaf6f431b480860cb85b512161ca7cc3ce31ac47",
     },
     "oracle-csv-3d": {
-        "": "00d93c03f99af1a726e24e7cd13f94b3e9d7c5f728b93aa9e98af8769b10dea9",
+        "": "f12e14a256738bb92f6ca8a4fded739df29b67fcfcc7b3f0651e3d5aa397e5c9",
     },
     "oracle-json-2d": {
         "": "189dce6c05ee34401ae6018eadfa3586b17f87352e701c5c9a924cf273f2145f",

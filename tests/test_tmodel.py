@@ -26,6 +26,7 @@ from dirquant import (
     theoretical_norm_sequences,
     theoretical_rho,
 )
+from dirquant import tmodel
 from dirquant.evt import TailFit, gamma_moment
 from dirquant.quantile import theta_grid
 from dirquant.tmodel import _sqrtm_spd, _t2_cdf
@@ -267,6 +268,55 @@ class TestBivariateKernel:
         assert np.isnan(_t2_cdf(np.nan, 1.0, 0.5, 3.0))
         assert np.isnan(_t2_cdf(1.0, np.nan, 0.5, 3.0))
 
+    @pytest.mark.parametrize("nu", range(1, 31))
+    def test_closed_form_matches_quadrature(self, nu):
+        xs = (-1e3, -20.0, -2.5, -0.3, 0.0, 0.8, 4.0, 1e3)
+        x1, x2, r = (g.ravel() for g in np.meshgrid(xs, xs, self.RS + (-0.146, 0.8),
+                                                     indexing="ij"))
+        # both sign ties, x1 = r x2 and x2 = r x1, where sign(0) = +1 decides
+        x1, x2, r = (np.concatenate(v) for v in ((x1, r * x2, x1), (x2, x2, r * x1), (r, r, r)))
+        got = tmodel._t2_cdf_closed(x1, x2, r, nu)
+        want = tmodel._t2_cdf_block(x1, x2, r, float(nu))
+        # at df 1 the quadrature itself is off by up to 1.5e-13 where |x| = 1e3
+        # and |r| = 0.99; test_against_high_precision_integral holds the
+        # closed form to 1e-13 there
+        assert np.abs(got - want).max() <= (1e-14 if nu > 1 else 2e-13)
+
+    @pytest.mark.parametrize("nu, kernel", [
+        (1.0, "closed"), (4.0, "closed"), (5, "closed"),
+        (tmodel._CLOSED_FORM_MAX_DF, "closed"), (2.5, "quadrature"), (7.5, "quadrature"),
+        (tmodel._CLOSED_FORM_MAX_DF + 1.0, "quadrature")])
+    def test_integer_df_takes_closed_form(self, nu, kernel, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"df {nu} reached the wrong kernel")
+
+        other = "_t2_cdf_block" if kernel == "closed" else "_t2_cdf_closed"
+        monkeypatch.setattr(tmodel, other, refuse)
+        got = _t2_cdf(np.array([0.3, -1.0, np.inf]), np.array([1.2, 2.0, 0.5]), 0.4, nu)
+        assert np.isfinite(got).all()
+
+    @pytest.mark.parametrize("nu", (1.0, 2.0, 3.0, 4.0, 5.0, 12.0, 7.5))
+    def test_stack_equals_single_calls(self, nu):
+        rng = np.random.default_rng(8)
+        x1, x2 = rng.standard_normal((2, 40)) * 5.0
+        r = rng.uniform(-0.99, 0.99, 40)
+        stacked = _t2_cdf(x1, x2, r, nu)
+        for i in range(40):
+            assert _t2_cdf(x1[i], x2[i], r[i], nu) == stacked[i]
+
+    @pytest.mark.parametrize("nu", (1.0, 2.0, 3.0, 4.0, 5.0))
+    def test_huge_arguments_reach_univariate_limits(self, nu):
+        # the t mass beyond 1e20 is below 1e-20 for any df >= 1
+        for big in (1e20, 1e100, 1e200, 1e300):
+            for r in (-0.99, 0.0, 0.6, 0.99):
+                for x2 in (-3.0, 0.0, 2.0):
+                    want = special.stdtr(nu, x2)
+                    assert abs(_t2_cdf(big, x2, r, nu) - want) <= 1e-15
+                    assert abs(_t2_cdf(x2, big, r, nu) - want) <= 1e-15
+                    assert _t2_cdf(-big, x2, r, nu) <= 1e-15
+                assert _t2_cdf(big, big, r, nu) >= 1.0 - 1e-15
+                assert _t2_cdf(-big, -big, r, nu) <= 1e-15
+
     def test_against_high_precision_integral(self):
         mp = pytest.importorskip("mpmath")
 
@@ -296,7 +346,12 @@ class TestBivariateKernel:
 
         for args in [(0.5, 1.2, 0.3, 4.0), (2.0, -0.7, -0.5, 3.0), (-1.5, 2.5, 0.9, 5.0),
                      (424.9, 4.725, -0.88, 4.0), (3.0, 3.0, -0.99, 1.0),
-                     (0.0, 0.7, 0.6, 7.5)]:
+                     (0.0, 0.7, 0.6, 7.5),
+                     # even and odd df of the closed form
+                     (1e3, -2.0, -0.99, 2.0), (-0.4, 1e3, 0.99, 6.0), (-3.0, -4.0, 0.7, 10.0),
+                     (1e3, -1e3, 0.99, 1.0), (8.0, -1.0, -0.95, 11.0),
+                     # df where the quadrature is off by 1e-11 and 4e-7
+                     (22.57, -2.26, -0.146, 128.0), (22.57, -2.26, -0.146, 256.0)]:
             assert abs(float(_t2_cdf(*args)) - reference(*args)) <= 1e-13
 
 
