@@ -14,20 +14,17 @@ import argparse
 import numpy as np
 
 from dirquant import (
-    StdfContext,
     TParams,
     asymptotic_quantile,
-    fit_tails,
+    fit_direction,
     fpc_direction,
     quantile_point,
     relative_error,
-    rho_hat,
-    rotate,
+    rho_hat_batch,
     rotation_for,
     sample_t,
-    select_k,
 )
-from dirquant.errors import HeavyTailError
+from dirquant.errors import DataError, NumericalError
 
 SIGMA = np.array([[5.0, 2.44, -1.88], [2.44, 2.12, 0.04], [-1.88, 0.04, 2.36]])
 
@@ -45,16 +42,15 @@ def study(n: int, replicates: int, master: int):
     res, failed = [], 0
     for rep in range(replicates):
         sample = sample_t(params, n, seed_int(master, n, rep, 0))
-        rotated = rotate(r, sample)
-        sel = select_k(rotated, b1=1000, seed=seed_int(master, n, rep, 1))
         try:
-            fit = fit_tails(rotated, sel.k_hat)
-            rho = rho_hat(StdfContext(rotated, fit), theta).value
-            x_hat = quantile_point(fit, rho, theta, alpha)
-        except HeavyTailError:
+            fitted = fit_direction(sample, r, "auto", b1=1000,
+                                   seed=seed_int(master, n, rep, 1))
+            rho, _ = rho_hat_batch(fitted.context, theta[None, :])
+            x_hat = quantile_point(fitted.fit, rho[0], theta, alpha)
+        except (DataError, NumericalError):
             failed += 1
             continue
-        x_tilde = asymptotic_quantile(params, u, alpha, theta, n / fit.k)
+        x_tilde = asymptotic_quantile(params, r, alpha, theta, n / fitted.fit.k)
         res.append(relative_error(x_tilde, x_hat))
     return np.asarray(res), failed
 

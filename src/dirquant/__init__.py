@@ -8,7 +8,6 @@ quantile points beyond the sample range and rotates them back.
 
 from .bootstrap import (
     KSelection,
-    bootstrap_error,
     convergence_rate,
     optimal_k_for_size,
     select_k,
@@ -28,7 +27,6 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .evt import (
-    MarginalOrderStats,
     TailFit,
     fit_tails,
     gamma_moment,
@@ -40,8 +38,6 @@ from .geometry import (
     Direction,
     RotationMatrix,
     diagonal_direction,
-    in_oriented_orthant,
-    orthant_leq,
     qr_positive_diag,
     rotate,
     rotation_for,
@@ -56,11 +52,10 @@ from .quantile import (
     flag_outliers,
     quantile_point,
     shift_surface,
-    tail_level,
     tail_levels,
     theta_grid,
 )
-from .stdf import RhoEstimate, StdfContext, empirical_neg_log_G, rho_hat, rho_hat_batch
+from .stdf import StdfContext, rho_hat_batch
 from .tmodel import (
     ModelFit,
     TParams,
@@ -79,15 +74,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Direction", "RotationMatrix", "diagonal_direction", "qr_positive_diag",
-    "rotation_for", "rotate", "orthant_leq", "in_oriented_orthant",
-    "MarginalOrderStats", "TailFit", "log_moment", "gamma_moment", "joint_gamma",
-    "norm_sequences", "fit_tails",
-    "StdfContext", "RhoEstimate", "empirical_neg_log_G", "rho_hat", "rho_hat_batch",
+    "rotation_for", "rotate",
+    "TailFit", "log_moment", "gamma_moment", "joint_gamma", "norm_sequences",
+    "fit_tails",
+    "StdfContext", "rho_hat_batch",
     "ThetaGrid", "theta_grid", "quantile_point", "QuantileSurface",
     "DirectionalFit", "fit_direction", "estimate_surface", "shift_surface",
-    "tail_level", "tail_levels", "flag_outliers", "OutlierFlags",
-    "KSelection", "bootstrap_error", "optimal_k_for_size", "convergence_rate",
-    "select_k",
+    "tail_levels", "flag_outliers", "OutlierFlags",
+    "KSelection", "optimal_k_for_size", "convergence_rate", "select_k",
     "TParams", "sample_t", "rotate_elliptical", "fpc_direction", "t_cdf", "t_stdf",
     "theoretical_rho", "theoretical_norm_sequences", "asymptotic_quantile",
     "ModelFit", "relative_error",

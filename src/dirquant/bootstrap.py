@@ -46,7 +46,7 @@ from .errors import (
     SmallSampleWarning,
     _require_finite,
 )
-from .evt import _descending_logs, _profiles_from_logs, log_moment
+from .evt import _descending_logs, _profiles_from_logs
 
 REDRAW_ATTEMPTS = 100
 DEFAULT_MIN_RETAINED = 10
@@ -102,13 +102,6 @@ class KSelection:
             "n": int(self.n),
             "fallback": bool(self.fallback),
         }
-
-
-def bootstrap_error(sorted_values, k: int) -> float:
-    """Squared deviation of the moment relation, (M2 - 2 M1^2)^2, at k."""
-    m1 = log_moment(sorted_values, k, 1)
-    m2 = log_moment(sorted_values, k, 2)
-    return (m2 - 2.0 * m1 * m1) ** 2
 
 
 _MASK32 = (1 << 32) - 1

@@ -231,49 +231,6 @@ def surface_doc_to_csv(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def surface_doc_from_csv(text: str) -> dict:
-    meta = {}
-    rows = []
-    header = None
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        if ln.startswith("#"):
-            key, _, val = ln[1:].strip().partition("=")
-            meta[key.strip()] = val.strip()
-            continue
-        if header is None:
-            header = ln.split(",")
-            continue
-        rows.append(ln.split(","))
-    if header is None:
-        raise DataError("surface CSV has no header row")
-    d = sum(1 for h in header if h.startswith("theta_"))
-    doc = {
-        "alpha": float(meta["alpha"]),
-        "direction": [float(c) for c in meta["direction"].split(",")],
-        "k": int(meta["k"]),
-        "gamma": float(meta["gamma"]),
-        "points": [],
-    }
-    if "source" in meta:
-        doc["source"] = meta["source"]
-    if "center_offset" in meta:
-        doc["center_offset"] = [float(c) for c in meta["center_offset"].split(",")]
-    for cells in rows:
-        doc["points"].append(
-            {
-                "theta": [float(c) for c in cells[0:d]],
-                "x_rotated": [float(c) for c in cells[d:2 * d]],
-                "x_original": [float(c) for c in cells[2 * d:3 * d]],
-                "rho": float(cells[3 * d]),
-                "floored": cells[3 * d + 1].lower() == "true",
-            }
-        )
-    return doc
-
-
 def _write_text(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -324,8 +281,10 @@ class RunConfig:
     workers: int = 1
 
 
-_CONFIG_CASTS = {f.name: f.type for f in fields(RunConfig)}
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 _BOOL_KEYS = {"center", "has_header"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 _INT_KEYS = {"grid", "b1", "seed", "replicates", "n", "k_rho", "workers"}
 _FLOAT_KEYS = {"delta", "epsilon", "nu"}
 
@@ -342,10 +301,15 @@ def load_config_file(path: str) -> dict:
                 raise ValueError(f"{path}: line {i + 1} is not key=value: {ln!r}")
             key = key.strip().replace("-", "_")
             val = val.strip()
-            if key not in _CONFIG_CASTS:
+            if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}: unknown config key {key!r}")
             if key in _BOOL_KEYS:
-                out[key] = val.lower() in ("1", "true", "yes", "on")
+                if val.lower() not in _BOOL_WORDS:
+                    raise ValueError(
+                        f"{path}: line {i + 1}: {key} must be one of "
+                        f"1/true/yes/on or 0/false/no/off, got {val!r}"
+                    )
+                out[key] = _BOOL_WORDS[val.lower()]
             elif key in _INT_KEYS:
                 out[key] = int(val)
             elif key in _FLOAT_KEYS:
@@ -506,8 +470,7 @@ def cmd_oracle_t(cfg: RunConfig) -> int:
     t_anchor = cfg.n / k
     r = rotation_for(u)
     rotated = rotate_elliptical(params, r)
-    a, b = np.array([theoretical_norm_sequences(rotated, j, t_anchor)
-                     for j in range(params.d)]).T
+    a, b = theoretical_norm_sequences(rotated, t_anchor)
     fit = ModelFit(k, np.full(params.d, params.gamma), params.gamma, a, b, cfg.n)
     rhos = theoretical_rho(grid.thetas, params, r)
     x_rot = extrapolate(rhos[:, None] * grid.thetas / (t_anchor * alpha), a, b, fit.gamma)
@@ -603,8 +566,7 @@ def run_mc_study(cfg: RunConfig) -> dict:
     t_med = float(np.median([n / res["k_hat"] for res in results]))
     # theoretical surface at the median anchor, reusing the rho curve
     rotated_model = rotate_elliptical(params, r)
-    a, b = np.array([theoretical_norm_sequences(rotated_model, j, t_med)
-                     for j in range(d)]).T
+    a, b = theoretical_norm_sequences(rotated_model, t_med)
     bases = rho_theory[:, None] * grid.thetas / (t_med * alpha)
     x_tilde = extrapolate(bases, a, b, params.gamma)
     oracle_pts = x_tilde @ r.entries

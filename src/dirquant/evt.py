@@ -1,4 +1,4 @@
-"""Marginal order statistics, log-moment statistics and tail fits.
+"""Log-moment statistics, tail fits and the extrapolation formula.
 
 The tail index of each rotated marginal is estimated by the moment
 estimator built from the top-k log spacings; the normalization
@@ -18,30 +18,6 @@ from .errors import (
     PositivityError,
     TailDisparityWarning,
 )
-
-
-@dataclass(frozen=True)
-class MarginalOrderStats:
-    """Ascending-sorted values of each marginal, stacked as a (d, n) array."""
-
-    sorted_marginals: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        sm = np.array(self.sorted_marginals, dtype=float)
-        if sm.ndim != 2 or sm.shape[1] != self.n:
-            raise ValueError(f"expected (d, n={self.n}) array, got {sm.shape}")
-        if (np.diff(sm, axis=1) < 0).any():
-            raise ValueError("marginals must be sorted non-decreasing")
-        sm.flags.writeable = False
-        object.__setattr__(self, "sorted_marginals", sm)
-
-    @classmethod
-    def from_sample(cls, sample) -> "MarginalOrderStats":
-        sample = np.asarray(sample, dtype=float)
-        if sample.ndim == 1:
-            sample = sample[:, None]
-        return cls(np.sort(sample.T, axis=1, kind="stable"), sample.shape[0])
 
 
 @dataclass(frozen=True)
@@ -153,25 +129,6 @@ def norm_sequences(sorted_values, k: int, gamma_j: float):
     return a, b
 
 
-def log_moment_profiles(sorted_values):
-    """First and second log-moment statistics for every k = 1, ..., n-1.
-
-    ``sorted_values`` is ascending along its last axis, of length n;
-    leading axes index independent samples. Returns arrays of the same
-    shape indexed by k along the last axis (index 0 NaN). Requires all
-    values positive. Uses the cumulant expansion, which agrees with the
-    direct spacing sums up to roundoff.
-    """
-    s = np.asarray(sorted_values, dtype=float)
-    if s.shape[-1] < 2:
-        raise ValueError("need at least two observations")
-    if (s[..., 0] <= 0).any():
-        raise PositivityError("profiles require all values positive")
-    m1, m2 = _profiles_from_logs(_descending_logs(s))
-    nan = np.full(s.shape[:-1] + (1,), np.nan)
-    return np.concatenate([nan, m1], axis=-1), np.concatenate([nan, m2], axis=-1)
-
-
 def _descending_logs(sorted_values: np.ndarray) -> np.ndarray:
     """Logs of ascending ``sorted_values``, descending along the last axis.
 
@@ -216,12 +173,12 @@ def fit_tails(rotated_sample, k: int) -> TailFit:
     _check_k(n, k)
     if k < 2:
         raise ValueError(f"k={k} too small: the moment estimator needs k >= 2")
-    order = MarginalOrderStats.from_sample(sample)
+    sorted_marginals = np.sort(sample.T, axis=1, kind="stable")
     gammas = np.empty(d)
     a = np.empty(d)
     b = np.empty(d)
     for j in range(d):
-        s = order.sorted_marginals[j]
+        s = sorted_marginals[j]
         try:
             gammas[j] = gamma_moment(s, k)
             a[j], b[j] = norm_sequences(s, k, gammas[j])

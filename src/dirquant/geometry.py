@@ -1,10 +1,11 @@
-"""Directions, QR-oriented rotations and the oriented-orthant partial order.
+"""Directions and their QR-oriented rotations.
 
 A direction is a unit vector u with non-null components. Its rotation
 R_u is the unique orthogonal matrix built from positive-diagonal QR
 factorizations that maps u onto the diagonal unit vector
-e = (1, ..., 1)/sqrt(d). Oriented orthants and the associated partial
-order are expressed through R_u.
+e = (1, ..., 1)/sqrt(d). The oriented orthant of u with vertex x is the
+set of points z with R_u (z - x) >= 0 componentwise, so in rotated
+coordinates it is the ordinary upper orthant, where the estimator works.
 """
 
 from __future__ import annotations
@@ -27,6 +28,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_finite_components(v: np.ndarray) -> None:
+    flat = v.ravel()
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise InvalidDirectionError(
+            f"direction component {bad[0]} is not finite (value {float(flat[bad[0]])!r})"
+        )
+
+
 @dataclass(frozen=True)
 class Direction:
     """Unit vector with non-null components selecting an analysis perspective."""
@@ -40,6 +50,7 @@ class Direction:
             raise InvalidDirectionError(
                 f"direction must be a vector of dimension >= 2, got shape {comp.shape}"
             )
+        _require_finite_components(comp)
         norm = float(np.linalg.norm(comp))
         if abs(norm - 1.0) > UNIT_TOL:
             raise InvalidDirectionError(
@@ -61,6 +72,7 @@ class Direction:
     def from_vector(cls, v) -> "Direction":
         """Normalize an arbitrary non-zero vector into a Direction."""
         v = np.asarray(v, dtype=float)
+        _require_finite_components(v)
         norm = np.linalg.norm(v)
         if norm == 0.0:
             raise InvalidDirectionError("cannot normalize the zero vector")
@@ -159,14 +171,3 @@ def rotate(r: RotationMatrix, points) -> np.ndarray:
         return pts.copy()
     return pts @ entries.T
 
-
-def orthant_leq(x, y, u) -> bool:
-    """Orthant partial order: x precedes y iff R_u (y - x) >= 0 componentwise."""
-    r = u if isinstance(u, RotationMatrix) else rotation_for(u)
-    diff = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-    return bool((rotate(r, diff) >= 0.0).all())
-
-
-def in_oriented_orthant(vertex, z, u) -> bool:
-    """Membership of z in the closed oriented orthant with the given vertex."""
-    return orthant_leq(vertex, z, u)

@@ -2,8 +2,8 @@
 
 A surface point along angle theta at level alpha is obtained by scaling
 the empirical radius into the per-marginal extrapolation formula, then
-rotating back to original coordinates. The inversion (tail_level) maps
-an arbitrary point to the level alpha_z at which it would sit on the
+rotating back to original coordinates. The inversion (tail_levels) maps
+arbitrary points to the levels alpha_z at which they would sit on the
 surface; flagging compares alpha_z against a target level.
 """
 
@@ -314,11 +314,6 @@ def tail_levels(
         # (possibly separately tuned) radius context
         out[inside] = (fit.k / fit.n) * rhos / norms[inside]
     return out
-
-
-def tail_level(ctx: StdfContext, z, u: Direction, fit: Optional[TailFit] = None) -> float:
-    """Level alpha_z at which point z would lie on the quantile surface."""
-    return float(tail_levels(ctx, np.asarray(z, dtype=float)[None, :], u, fit)[0])
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
-"""Empirical stable tail dependence function and the scalar radius estimator.
+"""Empirical stable tail dependence function and the radius over angular grids.
 
 The estimator counts, among the rotated sample rows, how many exceed a
-vector of thresholds in at least one coordinate. Evaluating it on the
-Frechet-transformed polar argument yields the radius rho_hat that scales
-quantile points along each angular ray.
+vector of thresholds in at least one coordinate. Evaluating it at the
+thresholds that the extrapolation formula gives for each angle yields the
+radius rho_hat that scales quantile points along that angular ray.
 
 A row fails to exceed a threshold vector exactly when it is componentwise
 <= it, so the count is n minus an offline dominance count. For d <= 2 and
@@ -15,12 +15,11 @@ query is compared with every row, in O(q n d) time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import HeavyTailError
-from .evt import TailFit
+from .evt import TailFit, extrapolate
 
 # Largest number of pairwise comparisons materialized at once by the
 # batched counting kernel: two boolean buffers of this many cells, 4 MB.
@@ -53,11 +52,6 @@ class StdfContext:
     @property
     def d(self) -> int:
         return self.rotated_sample.shape[1]
-
-
-class RhoEstimate(NamedTuple):
-    value: float
-    floored: bool
 
 
 def union_exceedance_counts(sample: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -148,23 +142,12 @@ def _exceedances_by_sorting(sample: np.ndarray, thr: np.ndarray) -> np.ndarray:
     return n - dominated
 
 
-def empirical_neg_log_G(ctx: StdfContext, x) -> float:
-    """Empirical -ln G: exceedance count over k at thresholds a*x + b."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (ctx.d,):
-        raise ValueError(f"expected a {ctx.d}-vector, got shape {x.shape}")
-    thr = ctx.fit.a * x + ctx.fit.b
-    count = int(union_exceedance_counts(ctx.rotated_sample, thr[None, :])[0])
-    return count / ctx.fit.k
-
-
-def _frechet_args(theta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    # (theta^gamma - 1)/gamma; theta = 0 maps to the finite endpoint -1/gamma.
-    return (theta**gamma - 1.0) / gamma
-
-
 def rho_hat_batch(ctx: StdfContext, thetas) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized rho_hat over rows of ``thetas``; returns (values, floored)."""
+    """Empirical radius at each unit angle (row) of ``thetas``.
+
+    The count of rows beyond the angle's thresholds over k, floored at 1/k
+    when no row exceeds them; returns (values, floored).
+    """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if thetas.shape[1] != ctx.d:
         raise ValueError(f"theta dimension {thetas.shape[1]} does not match d={ctx.d}")
@@ -180,14 +163,10 @@ def rho_hat_batch(ctx: StdfContext, thetas) -> tuple[np.ndarray, np.ndarray]:
     norms = np.linalg.norm(thetas, axis=1)
     if (np.abs(norms - 1.0) > 1e-8).any():
         raise ValueError("theta must have unit Euclidean norm")
-    thr = ctx.fit.a * _frechet_args(thetas, gam) + ctx.fit.b
+    # theta = 0 maps to the finite endpoint b - a/gamma
+    thr = extrapolate(thetas, ctx.fit.a, ctx.fit.b, gam)
     counts = union_exceedance_counts(ctx.rotated_sample, thr)
     floored = counts == 0
     values = np.maximum(counts, 1) / ctx.fit.k
     return values, floored
 
-
-def rho_hat(ctx: StdfContext, theta) -> RhoEstimate:
-    """Empirical scalar radius at angle theta, floored at 1/k on zero counts."""
-    values, floored = rho_hat_batch(ctx, np.asarray(theta, dtype=float)[None, :])
-    return RhoEstimate(float(values[0]), bool(floored[0]))

@@ -369,24 +369,23 @@ def theoretical_rho(theta, params: TParams, u: Direction | RotationMatrix):
     return _model_rho(theta, _rotated_model(params, u))
 
 
-def theoretical_norm_sequences(params: TParams, j: int, t: float):
-    """Normalization pair (a_j(t), b_j(t)) for the j-th marginal of the model.
+def theoretical_norm_sequences(params: TParams, t: float):
+    """Normalization sequences (a(t), b(t)) of every marginal, as (d,) arrays.
 
-    b_j(t) is the marginal (1 - 1/t)-quantile, from the inverse univariate
-    t distribution function; a_j(t) = gamma * b_j(t), the first-order
-    scale of a gamma > 0 tail.
+    b_j(t) = mu_j + sqrt(sigma_jj) q is the marginal (1 - 1/t)-quantile,
+    with q from the inverse univariate t distribution function;
+    a_j(t) = gamma * b_j(t), the first-order scale of a gamma > 0 tail.
     """
     if not t > 1.0:
         raise ValueError(f"t must exceed 1, got {t!r}")
-    loc = float(params.mu[j])
-    scale = math.sqrt(float(params.sigma[j, j]))
-    b = loc + scale * float(special.stdtrit(params.nu, 1.0 - 1.0 / t))
-    if not b > 0.0:
+    q = float(special.stdtrit(params.nu, 1.0 - 1.0 / t))
+    b = params.mu + np.sqrt(np.diag(params.sigma)) * q
+    if not (b > 0.0).all():
         raise ValueError(
             f"marginal quantile at level 1 - 1/{t!r} is not positive; t is too "
             "small for tail normalization"
         )
-    if not math.isfinite(b):
+    if not np.isfinite(b).all():
         raise InversionError(
             f"marginal quantile at level 1 - 1/{t!r} is not finite: the level "
             "rounds to 1"
@@ -405,7 +404,7 @@ def asymptotic_quantile(params: TParams, u: Direction | RotationMatrix, alpha: f
     theta = np.asarray(theta, dtype=float)
     rotated = _rotated_model(params, u)
     rho = _model_rho(theta, rotated)
-    a, b = np.array([theoretical_norm_sequences(rotated, j, t) for j in range(params.d)]).T
+    a, b = theoretical_norm_sequences(rotated, t)
     return extrapolate(rho * theta / (t * alpha), a, b, params.gamma)
 
 

@@ -24,21 +24,20 @@ from dirquant import (
     fpc_direction,
     quantile_point,
     relative_error,
-    rho_hat,
     rotate,
     rotate_elliptical,
     rotation_for,
     sample_t,
     select_k,
     t_stdf,
-    tail_level,
     theoretical_rho,
     theta_grid,
 )
 from dirquant.cli import main
 from dirquant.errors import HeavyTailError
 from dirquant.evt import TailFit
-from dirquant.stdf import empirical_neg_log_G
+
+from oracles import empirical_neg_log_G, rho_hat, tail_level
 
 SIGMA_2D = np.array([[5.0, 0.1], [0.1, 1.0]])
 SIGMA_3D = np.array([[5.0, 2.44, -1.88], [2.44, 2.12, 0.04], [-1.88, 0.04, 2.36]])

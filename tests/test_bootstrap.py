@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from dirquant import (
     PositivityError,
     ResamplingError,
-    bootstrap_error,
     convergence_rate,
     diagonal_direction,
     fpc_direction,
     optimal_k_for_size,
-    orthant_leq,
     rotate,
     rotation_for,
     sample_t,
@@ -21,6 +19,8 @@ from dirquant import (
 )
 from dirquant import bootstrap
 from dirquant.errors import SmallSampleWarning
+
+from oracles import bootstrap_error, orthant_leq
 
 LN2 = math.log(2.0)
 

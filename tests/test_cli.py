@@ -24,12 +24,44 @@ from dirquant.cli import (
     parse_alpha,
     parse_csv,
     parse_direction,
-    surface_doc_from_csv,
     surface_doc_to_csv,
 )
 
 MU2 = "0,0"
 SIG2 = "5,0.1,0.1,1"
+
+
+def surface_doc_from_csv(text: str) -> dict:
+    """Read back what ``surface_doc_to_csv`` writes; no command reads it."""
+    meta, rows = {}, []
+    for ln in filter(None, map(str.strip, text.splitlines())):
+        if ln.startswith("#"):
+            key, _, val = ln[1:].partition("=")
+            meta[key.strip()] = val.strip()
+        else:
+            rows.append(ln.split(","))
+    header, rows = rows[0], rows[1:]
+    d = sum(h.startswith("theta_") for h in header)
+    doc = {
+        "alpha": float(meta["alpha"]),
+        "direction": [float(c) for c in meta["direction"].split(",")],
+        "k": int(meta["k"]),
+        "gamma": float(meta["gamma"]),
+        "points": [],
+    }
+    if "source" in meta:
+        doc["source"] = meta["source"]
+    if "center_offset" in meta:
+        doc["center_offset"] = [float(c) for c in meta["center_offset"].split(",")]
+    for cells in rows:
+        doc["points"].append({
+            "theta": [float(c) for c in cells[0:d]],
+            "x_rotated": [float(c) for c in cells[d:2 * d]],
+            "x_original": [float(c) for c in cells[2 * d:3 * d]],
+            "rho": float(cells[3 * d]),
+            "floored": cells[3 * d + 1] == "true",
+        })
+    return doc
 
 
 @pytest.fixture(scope="module")
@@ -322,7 +354,7 @@ class TestCommands:
         m3 = ["--mu", "0,0,0", "--sigma", "1,0.5,0.2,0.5,1,0.3,0.2,0.3,1", "--nu", "4"]
         assert main(["oracle-t", *m3, "--alpha", "1/5000", "--n", "5000", "--k", "100",
                      "--grid", "3", "--direction", "fpc", "--output", str(out)]) == 0
-        assert calls == {"theoretical_rho": 1, "theoretical_norm_sequences": 3}
+        assert calls == {"theoretical_rho": 1, "theoretical_norm_sequences": 1}
         monkeypatch.undo()
         doc = json.loads(out.read_text())
         sigma = [[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]]
@@ -407,6 +439,29 @@ class TestCommands:
         assert "'workers' is not an option of select-k" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("word, centred", [("Yes", True), ("OFF", False)])
+    def test_config_bool_words(self, word, centred, data_csv, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"input={data_csv}\nhas-header=true\ncenter={word}\n")
+        out = tmp_path / "s.json"
+        assert main(["estimate", "--config", str(cfgfile), "--alpha", "1/1500",
+                     "--k", "150", "--grid", "4", "--output", str(out)]) == 0
+        report = json.loads((tmp_path / "s.json.report.json").read_text())
+        assert report["centered"] is centred
+
+    @pytest.mark.parametrize("word", ["ture", "2", "", "y"])
+    def test_config_bool_misspelling_rejected(self, word, data_csv, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"input={data_csv}\nhas-header=true\ncenter={word}\n")
+        out = tmp_path / "s.json"
+        assert main(["estimate", "--config", str(cfgfile), "--alpha", "1/1500",
+                     "--k", "150", "--grid", "4", "--output", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{cfgfile}: line 3: center must be one of")
+        assert repr(word) in err["message"]
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_usage_error_bad_alpha(self, data_csv):
@@ -443,6 +498,20 @@ class TestExitCodes:
         assert main(command + ["--input", str(bad), "--has-header",
                                "--output", str(out)]) == 3
         assert "non-finite cell at row 700, column 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("direction, index, value", [
+        ("nan,1", 0, "nan"), ("1,inf", 1, "inf"),
+    ])
+    def test_non_finite_direction_component(self, direction, index, value, data_csv,
+                                            tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert main(["estimate", "--input", data_csv, "--has-header", "--alpha",
+                     "1/1500", "--k", "150", "--direction", direction,
+                     "--output", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "InvalidDirectionError", "message":
+                       f"direction component {index} is not finite (value {value})"}
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["select-k", "estimate", "flag"])
@@ -606,7 +675,10 @@ BYTE_DIGESTS = {
         "": "dfe5ca97a6d0471826b793f2c32931b21f6df5a01fb62149c3a8b6a33e44dab1",
     },
     "flag-csv-3d": {
-        "": "7dd608848ca3ac3612846a204bb66827626c5a01f0d008d26b2fb8229e6a4b43",
+        # row 791 lies on its own threshold in coordinate 3, where
+        # a (theta^gamma - 1)/gamma + b reproduces it exactly: alpha_z
+        # counts 2897 rows beyond it, not 2898
+        "": "ef8aff2be252c1c5129678147de4ae1874ab994528eb2ed92c961d40e985142c",
     },
     "flag-json-2d": {
         "": "47e25251c6db5a76bb94ae284f8b61b3172e2c13d06832537852fc12d4e378f1",

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dirquant import (
     DegenerateMomentsError,
-    MarginalOrderStats,
     PositivityError,
     TailFit,
     fit_tails,
@@ -17,7 +16,7 @@ from dirquant import (
     norm_sequences,
 )
 from dirquant.errors import TailDisparityWarning
-from dirquant.evt import log_moment_profiles
+from dirquant.evt import _descending_logs, _profiles_from_logs
 
 LN2 = math.log(2.0)
 
@@ -46,30 +45,30 @@ class TestLogMoment:
             log_moment([1.0, 2.0], 2, 1)
 
 
+def log_moment_profiles(sorted_values):
+    """M1 and M2 at k = 1, ..., n-1 (index k-1), by the bootstrap's kernel."""
+    return _profiles_from_logs(_descending_logs(np.asarray(sorted_values, dtype=float)))
+
+
 class TestLogMomentProfiles:
     def test_matches_direct_moments(self):
         s = np.sort(np.random.default_rng(5).uniform(size=40) ** -0.5)
         m1, m2 = log_moment_profiles(s)
-        assert np.isnan(m1[0]) and np.isnan(m2[0])
+        assert m1.shape == m2.shape == (39,)
         for k in range(1, 40):
-            assert m1[k] == pytest.approx(log_moment(s, k, 1), rel=1e-10, abs=1e-13)
-            assert m2[k] == pytest.approx(log_moment(s, k, 2), rel=1e-10, abs=1e-13)
+            assert m1[k - 1] == pytest.approx(log_moment(s, k, 1), rel=1e-10, abs=1e-13)
+            assert m2[k - 1] == pytest.approx(log_moment(s, k, 2), rel=1e-10, abs=1e-13)
 
     def test_batch_rows_equal_single_calls_bitwise(self):
         rng = np.random.default_rng(6)
         batch = np.sort(rng.uniform(size=(3, 5, 60)) ** -0.7, axis=-1)
         m1, m2 = log_moment_profiles(batch)
-        assert m1.shape == m2.shape == batch.shape
+        assert m1.shape == m2.shape == (3, 5, 59)
         for i in range(3):
             for j in range(5):
                 r1, r2 = log_moment_profiles(batch[i, j])
-                assert np.array_equal(m1[i, j], r1, equal_nan=True)
-                assert np.array_equal(m2[i, j], r2, equal_nan=True)
-
-    def test_nonpositive_row_rejected(self):
-        batch = np.array([[1.0, 2.0, 3.0], [0.0, 2.0, 3.0]])
-        with pytest.raises(PositivityError):
-            log_moment_profiles(batch)
+                assert np.array_equal(m1[i, j], r1)
+                assert np.array_equal(m2[i, j], r2)
 
 
 class TestGammaMoment:
@@ -131,16 +130,6 @@ class TestNormSequences:
     def test_zero_scale_raises(self):
         with pytest.raises(DegenerateMomentsError):
             norm_sequences([1.0, 5.0, 5.0], 1, 0.5)
-
-
-class TestMarginalOrderStats:
-    def test_from_sample_sorts(self):
-        stats = MarginalOrderStats.from_sample(np.array([[3.0, 1.0], [1.0, 2.0]]))
-        assert np.array_equal(stats.sorted_marginals, [[1.0, 3.0], [1.0, 2.0]])
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            MarginalOrderStats(np.array([[2.0, 1.0]]), 2)
 
 
 class TestFitTails:

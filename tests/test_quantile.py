@@ -16,16 +16,16 @@ from dirquant import (
     fit_tails,
     flag_outliers,
     quantile_point,
-    rho_hat,
     rotate,
     rotation_for,
     sample_t,
     shift_surface,
-    tail_level,
     tail_levels,
     theta_grid,
 )
 from dirquant import quantile
+
+from oracles import rho_hat, tail_level
 
 SQ2 = math.sqrt(2.0) / 2.0
 

@@ -7,11 +7,11 @@ from dirquant import (
     HeavyTailError,
     StdfContext,
     TailFit,
-    empirical_neg_log_G,
-    rho_hat,
     rho_hat_batch,
 )
 from dirquant import stdf
+
+from oracles import empirical_neg_log_G, rho_hat
 
 
 def make_ctx(sample, k, a, b, gamma=None):

@@ -457,39 +457,40 @@ class TestTheoreticalNormSequences:
     def test_t_equal_two_rejected_by_positivity(self):
         params = TParams(np.zeros(2), np.eye(2), 3.0)
         with pytest.raises(ValueError, match="not positive"):
-            theoretical_norm_sequences(params, 0, 2.0)
+            theoretical_norm_sequences(params, 2.0)
 
     @pytest.mark.parametrize("nu, t", [(3.0, 1000.0), (4.0, 50.0), (1.5, 200.0)])
     def test_unit_scale_quantile_equals_ppf(self, nu, t):
         params = TParams(np.zeros(2), np.eye(2), nu)
-        a, b = theoretical_norm_sequences(params, 1, t)
-        assert b == stats.t.ppf(1.0 - 1.0 / t, nu)
-        assert a == params.gamma * b
+        a, b = theoretical_norm_sequences(params, t)
+        assert a.shape == b.shape == (2,)
+        assert (b == stats.t.ppf(1.0 - 1.0 / t, nu)).all()
+        assert (a == params.gamma * b).all()
 
     def test_level_rounding_to_one_rejected(self):
         params = TParams(np.zeros(2), np.eye(2), 3.0)
         with pytest.raises(InversionError, match="not finite"):
-            theoretical_norm_sequences(params, 0, 1e17)
+            theoretical_norm_sequences(params, 1e17)
 
     def test_t_at_most_one_rejected(self):
         params = TParams(np.zeros(2), np.eye(2), 3.0)
         with pytest.raises(ValueError, match="must exceed 1"):
-            theoretical_norm_sequences(params, 0, 1.0)
+            theoretical_norm_sequences(params, 1.0)
 
     def test_scale_equivariance(self):
         p1 = TParams(np.zeros(2), np.diag([1.0, 1.0]), 3.0)
         p2 = TParams(np.zeros(2), np.diag([4.0, 1.0]), 3.0)
-        a1, b1 = theoretical_norm_sequences(p1, 0, 500.0)
-        a2, b2 = theoretical_norm_sequences(p2, 0, 500.0)
-        assert b2 == pytest.approx(2.0 * b1, rel=1e-8)
-        assert a2 == pytest.approx(2.0 * a1, rel=1e-8)
+        a1, b1 = theoretical_norm_sequences(p1, 500.0)
+        a2, b2 = theoretical_norm_sequences(p2, 500.0)
+        assert b2 == pytest.approx(np.array([2.0, 1.0]) * b1, rel=1e-8)
+        assert a2 == pytest.approx(np.array([2.0, 1.0]) * a1, rel=1e-8)
 
     def test_unit_scale_quantile_against_reference(self):
         params = TParams(np.zeros(2), np.eye(2), 3.0)
-        a, b = theoretical_norm_sequences(params, 0, 1000.0)
-        assert b == pytest.approx(stats.t.ppf(0.999, 3), abs=1e-6)
-        assert b == pytest.approx(10.215, abs=1e-3)
-        assert a == pytest.approx(b / 3.0, rel=1e-12)
+        a, b = theoretical_norm_sequences(params, 1000.0)
+        assert b[0] == pytest.approx(stats.t.ppf(0.999, 3), abs=1e-6)
+        assert b[0] == pytest.approx(10.215, abs=1e-3)
+        assert a[0] == pytest.approx(b[0] / 3.0, rel=1e-12)
 
 
 class TestAsymptoticQuantile:
@@ -501,7 +502,7 @@ class TestAsymptoticQuantile:
         rho = theoretical_rho(theta, params, u)
         alpha = rho * theta[0] / t
         x = asymptotic_quantile(params, u, alpha, theta, t)
-        _, b = theoretical_norm_sequences(params, 0, t)
+        _, b = theoretical_norm_sequences(params, t)
         assert np.abs(x - b).max() < 1e-9
 
     def test_matches_quantile_point_with_same_inputs(self, params_2d):
@@ -512,13 +513,13 @@ class TestAsymptoticQuantile:
         assert n / k == t
         rotated = rotate_elliptical(params_2d, rotation_for(u))
         gamma = params_2d.gamma
-        pairs = [theoretical_norm_sequences(rotated, j, t) for j in range(2)]
+        a, b = theoretical_norm_sequences(rotated, t)
         fit = TailFit(
             k=k,
             gamma_marginal=np.array([gamma, gamma]),
             gamma=gamma,
-            a=np.array([p[0] for p in pairs]),
-            b=np.array([p[1] for p in pairs]),
+            a=a,
+            b=b,
             n=n,
         )
         rho = theoretical_rho(theta, params_2d, u)
