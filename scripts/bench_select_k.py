@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Fixed-seed timing of select_k on the paper's 2D t model.
+
+Draws four samples of the bivariate t model (nu=3) from fixed seeds,
+rotates each into its sample principal direction, as ``estimate
+--direction fpc`` does, and times ``select_k`` on them. Each call is
+measured for wall time and for minor page faults, read from
+``getrusage`` around the call. One untimed call per sample comes first.
+
+    GLIBC_TUNABLES=glibc.malloc.mmap_threshold=131072 \\
+        python3 scripts/bench_select_k.py --label after
+
+prints best and median milliseconds and the median minor faults per call
+and writes them to ``<out>/BENCH_<label>.json`` (``results/`` by default).
+The malloc setting is the one the benchmark in ``perfbench/`` runs under;
+it is recorded in the JSON, since page faults depend on it.
+"""
+
+import argparse
+import json
+import os
+import pathlib
+import platform
+import resource
+import statistics
+import time
+
+import numpy as np
+
+from dirquant import (
+    TParams,
+    fpc_direction,
+    rotate,
+    rotation_for,
+    sample_t,
+    select_k,
+)
+
+SIGMA = np.array([[5.0, 0.1], [0.1, 1.0]])
+SEEDS = (2024, 2025, 2026, 2027)
+
+
+def samples(n: int) -> list:
+    params = TParams(np.zeros(2), SIGMA, 3.0)
+    out = []
+    for seed in SEEDS:
+        x = sample_t(params, n, seed)
+        out.append(rotate(rotation_for(fpc_direction(np.cov(x.T))), x))
+    return out
+
+
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def measure(sample, b1: int, repeat: int):
+    """Milliseconds and minor faults of ``repeat`` timed calls."""
+    select_k(sample, b1=b1, seed=7)
+    ms, faults = [], []
+    for _ in range(repeat):
+        f0, t0 = minor_faults(), time.perf_counter()
+        select_k(sample, b1=b1, seed=7)
+        t1, f1 = time.perf_counter(), minor_faults()
+        ms.append(1e3 * (t1 - t0))
+        faults.append(f1 - f0)
+    return ms, faults
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--n", type=int, default=5000)
+    ap.add_argument("--b1", type=int, default=1000)
+    ap.add_argument("--repeat", type=int, default=7, help="timed calls per sample")
+    ap.add_argument("--label", default="select_k")
+    ap.add_argument("--out", default="results", help="directory for BENCH_<label>.json")
+    args = ap.parse_args()
+
+    ms, faults = [], []
+    for sample in samples(args.n):
+        t, f = measure(sample, args.b1, args.repeat)
+        ms += t
+        faults += f
+    result = {
+        "label": args.label,
+        "n": args.n,
+        "b1": args.b1,
+        "seeds": list(SEEDS),
+        "calls": len(ms),
+        "best_ms": min(ms),
+        "median_ms": statistics.median(ms),
+        "median_minor_faults": statistics.median(faults),
+        "max_minor_faults": max(faults),
+        "glibc_tunables": os.environ.get("GLIBC_TUNABLES"),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+    }
+    print(f"select_k n={args.n} b1={args.b1}, {len(ms)} calls: "
+          f"best {result['best_ms']:.1f} ms, median {result['median_ms']:.1f} ms, "
+          f"median {result['median_minor_faults']:.0f} minor faults")
+    out = pathlib.Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+
+
+if __name__ == "__main__":
+    main()

@@ -8,7 +8,10 @@ and an estimated convergence rate combine into the final k(n).
 Resamples are drawn with replacement from the full rotated sample, then
 rows with any non-positive component are dropped; a resample retaining
 fewer rows than a floor is redrawn from the same stream. Resamples are
-drawn and their error curves computed in blocks of row indices.
+drawn and their error curves computed in blocks of row indices. Every
+per-block array is a view into one workspace, allocated once per call
+and sized for the larger stage, so the block loop allocates no large
+array and touches no fresh memory after the first block.
 
 The error curves need each resample's retained values in descending
 order and their logs, which depend only on the sample. So each stage
@@ -53,9 +56,10 @@ DEFAULT_MIN_RETAINED = 10
 # Floor below which the procedure cannot run at all: the error curve
 # needs k = 2, hence at least three positive rows.
 HARD_MIN_RETAINED = 3
-# Resamples drawn and reduced together. In select_k at n = 5000, b1 = 1000
-# a block of 128 peaks at about 4.5 MiB of traced allocations; all 1000
-# resamples at once peak at about 34 MiB.
+# Resamples drawn and reduced together. The workspace of select_k holds
+# four buffers of 8 d (BLOCK+1) m1 bytes, 4.7 MiB at n = 5000, d = 2.
+# There, blocks of 128 ran faster than blocks of 32 or 64 on a 2-core
+# x86-64 Xeon with numpy 2.4.
 BLOCK = 128
 
 
@@ -102,6 +106,36 @@ class KSelection:
             "n": int(self.n),
             "fallback": bool(self.fallback),
         }
+
+
+class _Workspace:
+    """Four flat buffers that hold every per-block array of a selection.
+
+    Each array is a prefix view of one buffer, and arrays that share a
+    buffer are never live at the same time. In order of use in a block:
+
+    - buffer 0: the Lemire check, the ranks, mean1 and then M1;
+    - buffer 1: the draws, the gathered logs, then 2 M1^2;
+    - buffer 2: the raw PCG64 outputs, the cut ranks, the M2 terms, the
+      invalid mask;
+    - buffer 3: the low words of u*n, ``keep``, then the error block,
+      whose rows 1, ..., B hold M2 and then the errors.
+
+    Every buffer holds max(d, 1) (B+1) m float64, enough for any block of
+    up to B resamples of size up to m, whose draws alone take B m. Pages
+    are touched only as far as a block reaches, and reused by every later
+    block and stage.
+    """
+
+    def __init__(self, d: int, block: int, m: int):
+        size = 8 * max(d, 1) * (block + 1) * m
+        self._buffers = [np.empty(size, dtype=np.uint8) for _ in range(4)]
+
+    def array(self, buffer: int, shape, dtype) -> np.ndarray:
+        """A C-contiguous array of ``shape`` over the start of ``buffer``."""
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        return self._buffers[buffer][:nbytes].view(dtype).reshape(shape)
 
 
 _MASK32 = (1 << 32) - 1
@@ -164,15 +198,16 @@ def _pcg_states(seed: int, stage: int, indices) -> list:
     return out
 
 
-def _replayed_draws(n: int, m: int, seed: int, stage: int, indices):
+def _replayed_draws(n: int, m: int, seed: int, stage: int, indices, ws: _Workspace):
     """First draws of the streams ``indices``, without building them.
 
-    Returns the (B, m) draws and a (B,) mask of the streams replayed
-    exactly. A stream is not exact if Lemire's method rejects one of its
-    words, since numpy then draws again and shifts the rest.
+    Returns the (B, m) draws, a view into ``ws``, and a (B,) mask of the
+    streams replayed exactly. A stream is not exact if Lemire's method
+    rejects one of its words, since numpy then draws again and shifts the
+    rest.
     """
-    half = (m + 1) // 2
-    raw = np.empty((len(indices), half), dtype=np.uint64)
+    b, half = len(indices), (m + 1) // 2
+    raw = ws.array(2, (b, half), np.uint64)
     bitgen = np.random.PCG64(0)
     doc = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
     for row, (state, inc) in zip(raw, _pcg_states(seed, stage, indices)):
@@ -183,11 +218,13 @@ def _replayed_draws(n: int, m: int, seed: int, stage: int, indices):
     # and maps a word u to the high half of u*n; it rejects u if the low
     # half falls below 2^32 mod n.
     words = raw.astype("<u8", copy=False).view("<u4")[:, :m]
-    exact = (words * np.uint32(n) >= np.uint32((1 << 32) % n)).all(axis=1)
-    draws = words.astype(np.uint64)
-    draws *= np.uint64(n)
-    draws >>= np.uint64(32)
-    return draws.view(np.int64), exact
+    low = np.multiply(words, np.uint32(n), out=ws.array(3, (b, m), np.uint32))
+    accepted = np.greater_equal(low, np.uint32((1 << 32) % n), out=ws.array(0, (b, m), bool))
+    draws = ws.array(1, (b, m), np.int64)
+    high = draws.view(np.uint64)
+    np.multiply(words, np.uint64(n), out=high, dtype=np.uint64)
+    high >>= np.uint64(32)
+    return draws, accepted.all(axis=1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -198,7 +235,7 @@ def _replay_matches_numpy() -> bool:
     seed, stage, index, n, m = 2**32 - 1, 2, 4321, 5000, 7
     want = np.random.default_rng([seed, stage, index]).integers(0, n, m)
     try:
-        draws, exact = _replayed_draws(n, m, seed, stage, [index])
+        draws, exact = _replayed_draws(n, m, seed, stage, [index], _Workspace(1, 1, m))
     except Exception:
         return False
     return bool(exact[0]) and np.array_equal(draws[0], want)
@@ -208,14 +245,17 @@ def _is_word(value) -> bool:
     return isinstance(value, (int, np.integer)) and 0 <= value <= _MASK32
 
 
-def _first_draws(n: int, m: int, seed: int, stage: int, indices) -> np.ndarray:
-    """(B, m) first draws ``default_rng([seed, stage, i]).integers(0, n, m)``."""
+def _first_draws(n: int, m: int, seed: int, stage: int, indices, ws: _Workspace) -> np.ndarray:
+    """(B, m) first draws ``default_rng([seed, stage, i]).integers(0, n, m)``,
+    a view into ``ws``."""
     replayable = (_is_word(seed) and _is_word(stage) and 2 <= n <= _MASK32 and m >= 1
                   and len(indices) > 0 and 0 <= min(indices) and max(indices) <= _MASK32)
     if not (replayable and _replay_matches_numpy()):
-        return np.stack([np.random.default_rng([seed, stage, i]).integers(0, n, m)
-                         for i in indices])
-    draws, exact = _replayed_draws(n, m, seed, stage, indices)
+        draws = ws.array(1, (len(indices), m), np.int64)
+        for row, i in zip(draws, indices):
+            row[:] = np.random.default_rng([seed, stage, i]).integers(0, n, m)
+        return draws
+    draws, exact = _replayed_draws(n, m, seed, stage, indices, ws)
     for i in np.flatnonzero(~exact):
         draws[i] = np.random.default_rng([seed, stage, indices[i]]).integers(0, n, m)
     return draws
@@ -249,17 +289,18 @@ def _rank_table(sample: np.ndarray):
 
 
 def _draw_block(pos: np.ndarray, m: int, seed: int, stage: int, indices,
-                min_retained: int):
+                min_retained: int, ws: _Workspace):
     """Draw the resamples ``indices`` of one stage, each from its own stream.
 
     Returns the (B, m) drawn row indices and the (B, m) mask ``pos[draws]``
-    of rows positive in every component. A resample retaining fewer than
-    ``min_retained`` rows is redrawn from its stream, up to
-    REDRAW_ATTEMPTS draws in all.
+    of rows positive in every component, both views into ``ws``. A
+    resample retaining fewer than ``min_retained`` rows is redrawn from its
+    stream, up to REDRAW_ATTEMPTS draws in all.
     """
     n = pos.size
-    draws = _first_draws(n, m, seed, stage, indices)
-    keep = pos[draws]
+    draws = _first_draws(n, m, seed, stage, indices, ws)
+    # mode="clip" writes straight into ``out``; draws lie in [0, n) anyway
+    keep = np.take(pos, draws, out=ws.array(3, draws.shape, bool), mode="clip")
     for i in np.flatnonzero(keep.sum(axis=1) < min_retained):
         rng = np.random.default_rng([seed, stage, indices[i]])
         rng.integers(0, n, m)  # the first draw, already in ``draws``
@@ -277,43 +318,52 @@ def _draw_block(pos: np.ndarray, m: int, seed: int, stage: int, indices,
 
 
 def _add_error_curves(sums: np.ndarray, counts: np.ndarray, rank: np.ndarray,
-                      logs: np.ndarray, draws: np.ndarray, keep: np.ndarray) -> None:
+                      logs: np.ndarray, draws: np.ndarray, keep: np.ndarray,
+                      ws: _Workspace) -> None:
     """Add the error curves of a block of resamples onto the running sums.
 
     ``rank`` and ``logs`` are the sample's ``_rank_table``; ``draws``
     (B, w) holds B resamples' row indices and ``keep`` (B, w) marks their
     retained rows. A resample retaining r rows contributes its error at
-    k = 2, ..., r-1 to ``sums[:, k]`` and ``counts[:, k]``.
+    k = 2, ..., r-1 to ``sums[:, k]`` and ``counts[:, k]``. Every
+    temporary is a view into ``ws``, which may hold ``draws`` and ``keep``.
     """
     retained = keep.sum(axis=1)
     if retained.min() < 2:
         raise ValueError("need at least two observations")
     width = int(retained.max())
+    d, (b, w) = rank.shape[0], draws.shape
     # Ascending rank is descending value and the sentinel sorts last, so
     # each resample's first ``retained`` ranks are its retained rows in
     # order; columns right of the widest resample hold sentinels only.
-    ranks = rank.take(draws, axis=1)
+    ranks = np.take(rank, draws, axis=1, out=ws.array(0, (d, b, w), np.intp), mode="clip")
     ranks.sort(axis=-1)
-    m1, m2 = _profiles_from_logs(logs.take(ranks[..., :width]))
+    # np.take copies indices that are not contiguous, so the cut is made here
+    cut = ws.array(2, (d, b, width), np.intp)
+    np.copyto(cut, ranks[..., :width])
+    gathered = np.take(logs, cut, out=ws.array(1, (d, b, width), float), mode="clip")
     # Reducing the running sums and the block over the resample axis adds
     # one resample after another, as a loop over resamples would; summing
     # the block first would regroup the additions and change the last bits.
     # So the running sums go into row 0 of one buffer and the errors
     # (M2 - 2 M1^2)^2 at k = 1, ..., width-1, computed in place in that
     # order, into rows 1, ..., B.
-    d, b, w = m1.shape
-    block = np.empty((d, b + 1, w))
+    block = ws.array(3, (d, b + 1, width - 1), float)
     err = block[:, 1:]
-    np.multiply(2.0, m1, out=err)
-    err *= m1
-    np.subtract(m2, err, out=err)
+    m1, m2 = _profiles_from_logs(gathered, ws.array(0, err.shape, float), err,
+                                 ws.array(2, err.shape, float))
+    twice_sq = np.multiply(2.0, m1, out=ws.array(1, err.shape, float))
+    twice_sq *= m1
+    np.subtract(m2, twice_sq, out=err)
     err *= err
-    ks = np.arange(1, width)
-    valid = (ks >= 2) & (ks < retained[:, None])
-    err[:, ~valid] = 0.0
+    # a resample retaining r rows has no error at k = 1 nor at k >= r
+    invalid = np.greater_equal(np.arange(1, width), retained[:, None],
+                               out=ws.array(2, (b, width - 1), bool))
+    invalid[:, 0] = True
+    np.copyto(err, 0.0, where=invalid)
     block[:, 0] = sums[:, 1:width]
-    sums[:, 1:width] = block.sum(axis=1)
-    counts[:, 1:width] += valid.sum(axis=0)
+    np.sum(block, axis=1, out=sums[:, 1:width])
+    counts[:, 1:width] += b - invalid.sum(axis=0)
 
 
 def _argmin_per_marginal(sums: np.ndarray, counts: np.ndarray, b: int) -> np.ndarray:
@@ -352,16 +402,24 @@ def optimal_k_for_size(
     """
     sample = _as_columns(rotated_sample)
     _require_finite(sample)
+    ws = _Workspace(sample.shape[1], BLOCK, m)
+    return _stage_argmin(_rank_table(sample), m, b, seed, stage, min_retained, ws)
+
+
+def _stage_argmin(table, m: int, b: int, seed: int, stage: int, min_retained: int,
+                  ws: _Workspace) -> np.ndarray:
+    """``optimal_k_for_size`` on a sample's ``_rank_table``, in blocks of
+    BLOCK resamples that all run in ``ws``."""
     if b < 1:
         raise ValueError(f"need at least one resample, got b={b}")
-    pos, rank, logs = _rank_table(sample)
-    d = sample.shape[1]
+    pos, rank, logs = table
+    d = rank.shape[0]
     sums = np.zeros((d, m + 2))
     counts = np.zeros((d, m + 2))
     for start in range(0, b, BLOCK):
         indices = range(start, min(start + BLOCK, b))
-        draws, keep = _draw_block(pos, m, seed, stage, indices, min_retained)
-        _add_error_curves(sums, counts, rank, logs, draws, keep)
+        draws, keep = _draw_block(pos, m, seed, stage, indices, min_retained, ws)
+        _add_error_curves(sums, counts, rank, logs, draws, keep, ws)
     return _argmin_per_marginal(sums, counts, b)
 
 
@@ -435,8 +493,11 @@ def select_k(
             )
         floors.append(floor)
 
-    k1 = optimal_k_for_size(sample, m1, b1, seed, stage=1, min_retained=floors[0])
-    k2 = optimal_k_for_size(sample, m2, b1, seed, stage=2, min_retained=floors[1])
+    # One rank table and one workspace, sized for stage 1, serve both stages.
+    table = _rank_table(sample)
+    ws = _Workspace(d, BLOCK, m1)
+    k1 = _stage_argmin(table, m1, b1, seed, 1, floors[0], ws)
+    k2 = _stage_argmin(table, m2, b1, seed, 2, floors[1], ws)
     pis = np.array([convergence_rate(int(k), m1) for k in k1])
     terms = np.empty(d)
     for j in range(d):

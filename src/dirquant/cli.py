@@ -310,10 +310,14 @@ def load_config_file(path: str) -> dict:
                         f"1/true/yes/on or 0/false/no/off, got {val!r}"
                     )
                 out[key] = _BOOL_WORDS[val.lower()]
-            elif key in _INT_KEYS:
-                out[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                out[key] = float(val)
+            elif key in _INT_KEYS or key in _FLOAT_KEYS:
+                cast, kind = (int, "an integer") if key in _INT_KEYS else (float, "a number")
+                try:
+                    out[key] = cast(val)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {i + 1}: {key} must be {kind}, got {val!r}"
+                    ) from None
             else:
                 out[key] = val
     return out

@@ -142,25 +142,28 @@ def _descending_logs(sorted_values: np.ndarray) -> np.ndarray:
     return logs[(slice(None, None, -1),) * (s.ndim - 1)]
 
 
-def _profiles_from_logs(logs: np.ndarray):
+def _profiles_from_logs(logs: np.ndarray, m1: np.ndarray, m2: np.ndarray,
+                        term: np.ndarray):
     """M1 and M2 at k = 1, ..., n-1, at index k-1 of the last axis, from
-    the logs of descending values.
+    the logs of descending values, written into ``m1`` and ``m2``.
 
-    M2 is c2/k - 2 thr mean1 + thr^2, evaluated left to right; the
-    in-place steps keep that order and save a temporary each.
+    ``term`` is scratch of the same shape. M2 is c2/k - 2 thr mean1 +
+    thr^2, evaluated left to right; mean1 is built in ``m1`` and becomes
+    M1 = mean1 - thr last. Returns ``m1`` and ``m2``.
     """
     ks = np.arange(1, logs.shape[-1], dtype=float)
     head, thr = logs[..., :-1], logs[..., 1:]
-    mean1 = np.cumsum(head, axis=-1)
+    mean1 = np.cumsum(head, axis=-1, out=m1)
     mean1 /= ks
-    m1 = mean1 - thr
-    m2 = np.cumsum(head * head, axis=-1)
+    np.multiply(head, head, out=term)
+    np.cumsum(term, axis=-1, out=m2)
     m2 /= ks
-    term = 2.0 * thr
+    np.multiply(2.0, thr, out=term)
     term *= mean1
     m2 -= term
     np.multiply(thr, thr, out=term)
     m2 += term
+    np.subtract(mean1, thr, out=m1)
     return m1, m2
 
 

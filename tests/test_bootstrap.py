@@ -1,4 +1,9 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -50,9 +55,10 @@ def optimal_k_from_resamples(resamples) -> np.ndarray:
         start += rows.shape[0]
     sums = np.zeros((d, size))
     counts = np.zeros((d, size))
+    ws = bootstrap._Workspace(d, bootstrap.BLOCK, size)
     for start in range(0, len(resamples), bootstrap.BLOCK):
         block = draws[start:start + bootstrap.BLOCK]
-        bootstrap._add_error_curves(sums, counts, rank, logs, block, pos[block])
+        bootstrap._add_error_curves(sums, counts, rank, logs, block, pos[block], ws)
     return bootstrap._argmin_per_marginal(sums, counts, len(resamples))
 
 
@@ -148,6 +154,25 @@ class TestOptimalK:
         ref_sums, ref_counts = loop_sums(sample, 150, 60, 4)
         assert np.array_equal(sums, ref_sums)
         assert np.array_equal(counts, ref_counts)
+
+    def test_reused_workspace_leaves_no_stale_values(self, monkeypatch):
+        # blocks of 5 resamples, the last one of 3, whose widest resamples
+        # keep from 10 to 18 rows, so each block lays its arrays over what
+        # the previous one left; later blocks redraw some resamples
+        monkeypatch.setattr(bootstrap, "BLOCK", 5)
+        sample = half_positive_sample(32)
+        widths, redrawn = block_widths(sample, 20, 48, 32, 1, 7)
+        assert max(max(a, c) / min(a, c) for a, c in zip(widths, widths[1:])) > 1.6
+        assert widths[4:6] == [18, 11] and any(redrawn[1:])
+        sums, counts = kernel_sums(monkeypatch, sample, 20, 48, 32, 7)
+        ref_sums, ref_counts = loop_sums(sample, 20, 48, 32, floor=7)
+        assert np.array_equal(sums, ref_sums)
+        assert np.array_equal(counts, ref_counts)
+        # select_k runs stage 2 in the workspace sized for stage 1
+        sel = select_k(sample, b1=48, seed=32)
+        assert (sel.m1, sel.m2) == (121, 24)
+        assert np.array_equal(sel.k_j_m1, optimal_k_for_size(sample, 121, 48, 32, stage=1))
+        assert np.array_equal(sel.k_j_m2, optimal_k_for_size(sample, 24, 48, 32, stage=2))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -254,6 +279,40 @@ def loop_sums(sample, m, b, seed, stage=1, floor=10):
     return sums, counts
 
 
+def workspace(indices, m):
+    return bootstrap._Workspace(1, len(indices), m)
+
+
+def first_draws(n, m, seed, stage, indices):
+    return bootstrap._first_draws(n, m, seed, stage, indices, workspace(indices, m))
+
+
+def replayed_draws(n, m, seed, stage, indices):
+    return bootstrap._replayed_draws(n, m, seed, stage, indices, workspace(indices, m))
+
+
+def draw_block(pos, m, seed, stage, indices, floor):
+    return bootstrap._draw_block(pos, m, seed, stage, indices, floor, workspace(indices, m))
+
+
+def block_widths(sample, m, b, seed, stage, floor):
+    """Per block of BLOCK resamples: the most rows a resample retains, and
+    whether a resample was redrawn."""
+    n = sample.shape[0]
+    retained, redrawn = [], []
+    for idx in range(b):
+        rng = np.random.default_rng([seed, stage, idx])
+        for attempt in range(100):
+            kept = int((sample[rng.integers(0, n, m)] > 0).all(axis=1).sum())
+            if kept >= floor:
+                break
+        retained.append(kept)
+        redrawn.append(attempt > 0)
+    starts = range(0, b, bootstrap.BLOCK)
+    return ([max(retained[s:s + bootstrap.BLOCK]) for s in starts],
+            [any(redrawn[s:s + bootstrap.BLOCK]) for s in starts])
+
+
 def numpy_draws(n, m, seed, stage, indices):
     return np.stack([np.random.default_rng([seed, stage, i]).integers(0, n, m)
                      for i in indices])
@@ -284,32 +343,32 @@ class TestStreamReplay:
     )
     def test_batch_equals_numpy_streams(self, seed, stage, n, m, indices):
         want = numpy_draws(n, m, seed, stage, indices)
-        assert np.array_equal(bootstrap._first_draws(n, m, seed, stage, indices), want)
+        assert np.array_equal(first_draws(n, m, seed, stage, indices), want)
         if seed < 2**32:
             # the replay itself, before any stream goes back to numpy
-            draws, exact = bootstrap._replayed_draws(n, m, seed, stage, indices)
+            draws, exact = replayed_draws(n, m, seed, stage, indices)
             assert np.array_equal(draws[exact], want[exact])
 
     def test_lemire_rejection_goes_to_numpy(self):
         # about half of all 32-bit words are rejected for n = 2^31 + 1
         n, indices = 2**31 + 1, range(40)
-        _, exact = bootstrap._replayed_draws(n, 3, 5, 1, indices)
+        _, exact = replayed_draws(n, 3, 5, 1, indices)
         assert 0 < exact.sum() < len(indices)
-        assert np.array_equal(bootstrap._first_draws(n, 3, 5, 1, indices),
+        assert np.array_equal(first_draws(n, 3, 5, 1, indices),
                               numpy_draws(n, 3, 5, 1, indices))
 
     def test_rejection_inside_paper_run(self):
         # resample 651 of stage 1 in the PAPER_2D run rejects one word
-        _, exact = bootstrap._replayed_draws(5000, 594, 7, 1, range(640, 660))
+        _, exact = replayed_draws(5000, 594, 7, 1, range(640, 660))
         assert np.flatnonzero(~exact).tolist() == [11]
-        assert np.array_equal(bootstrap._first_draws(5000, 594, 7, 1, range(640, 660)),
+        assert np.array_equal(first_draws(5000, 594, 7, 1, range(640, 660)),
                               numpy_draws(5000, 594, 7, 1, range(640, 660)))
 
     def test_redraws_continue_the_stream(self):
         sample = half_positive_sample(31)
         sample[:300, 0] *= -1.0  # about a quarter of the rows stay positive
-        draws, keep = bootstrap._draw_block((sample > 0).all(axis=1), 40, 3, 1,
-                                            range(60), 10)
+        draws, keep = draw_block((sample > 0).all(axis=1), 40, 3, 1,
+                                 range(60), 10)
         redrawn = 0
         for i in range(60):
             rng = np.random.default_rng([3, 1, i])
@@ -331,18 +390,18 @@ class TestStreamReplay:
         draws = [sample[stream.integers(0, 400, 20)] for _ in range(bootstrap.REDRAW_ATTEMPTS)]
         kept = [int((rows > 0).all(axis=1).sum()) for rows in draws]
         assert max(kept[:-1]) < 5 <= kept[-1]
-        drawn, keep = bootstrap._draw_block((sample > 0).all(axis=1), 20, 0, 1,
-                                            range(553, 554), 5)
+        drawn, keep = draw_block((sample > 0).all(axis=1), 20, 0, 1,
+                                 range(553, 554), 5)
         assert np.array_equal(sample[drawn[0]], draws[-1])
         assert np.array_equal(keep[0], (draws[-1] > 0).all(axis=1))
 
     def test_outside_domain_raises_as_numpy(self):
         with pytest.raises(ValueError) as ours:
-            bootstrap._first_draws(100, 5, -1, 1, range(3))
+            first_draws(100, 5, -1, 1, range(3))
         with pytest.raises(ValueError) as theirs:
             np.random.default_rng([-1, 1, 0])
         assert str(ours.value) == str(theirs.value)
-        assert np.array_equal(bootstrap._first_draws(1, 5, 0, 1, range(3)),
+        assert np.array_equal(first_draws(1, 5, 0, 1, range(3)),
                               np.zeros((3, 5), dtype=np.int64))
 
     def test_probe_failure_sends_every_stream_to_numpy(self, fresh_probe, monkeypatch):
@@ -354,7 +413,7 @@ class TestStreamReplay:
 
         monkeypatch.setattr(bootstrap, "_replayed_draws", shifted)
         assert not bootstrap._replay_matches_numpy()
-        assert np.array_equal(bootstrap._first_draws(5000, 31, 7, 1, range(50)),
+        assert np.array_equal(first_draws(5000, 31, 7, 1, range(50)),
                               numpy_draws(5000, 31, 7, 1, range(50)))
 
 
@@ -505,3 +564,33 @@ class TestSelectKReference:
         with pytest.warns(SmallSampleWarning, match="floor to 3"):
             sel = select_k(sample, b1=150, seed=13)
         assert sel.to_dict() == SPARSE
+
+
+# One select_k call after a warm-up one, under the malloc setting of the
+# benchmark in perfbench/, which maps every freed array above 128 KiB back
+# to the system; prints the call's minor page faults.
+FAULT_PROBE = textwrap.dedent("""
+    import resource
+    import numpy as np
+    from dirquant import TParams, fpc_direction, rotate, rotation_for, sample_t, select_k
+    x = sample_t(TParams(np.zeros(2), np.array([[5.0, 0.1], [0.1, 1.0]]), 3.0), 5000, 2024)
+    y = rotate(rotation_for(fpc_direction(np.cov(x.T))), x)
+    select_k(y, b1=1000, seed=7)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    select_k(y, b1=1000, seed=7)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts page faults under a glibc malloc setting")
+def test_select_k_reuses_its_pages():
+    # one workspace per call takes about 730 faults, all of them its first
+    # touch; fresh arrays for every block take about 13.5k
+    src = os.path.dirname(os.path.dirname(bootstrap.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path,
+           "GLIBC_TUNABLES": "glibc.malloc.mmap_threshold=131072"}
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert int(proc.stdout) < 2000

@@ -462,6 +462,21 @@ class TestCommands:
         assert repr(word) in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("grid=abc", "line 3: grid must be an integer, got 'abc'"),
+        ("delta=", "line 3: delta must be a number, got ''"),
+    ])
+    def test_config_number_value_rejected(self, line, message, data_csv, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"input={data_csv}\nhas-header=true\n{line}\n")
+        out = tmp_path / "s.json"
+        assert main(["estimate", "--config", str(cfgfile), "--alpha", "1/1500",
+                     "--k", "150", "--output", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"] == f"{cfgfile}: {message}"
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_usage_error_bad_alpha(self, data_csv):

@@ -47,7 +47,10 @@ class TestLogMoment:
 
 def log_moment_profiles(sorted_values):
     """M1 and M2 at k = 1, ..., n-1 (index k-1), by the bootstrap's kernel."""
-    return _profiles_from_logs(_descending_logs(np.asarray(sorted_values, dtype=float)))
+    logs = _descending_logs(np.asarray(sorted_values, dtype=float))
+    shape = logs.shape[:-1] + (logs.shape[-1] - 1,)
+    m1, m2, term = (np.empty(shape) for _ in range(3))
+    return _profiles_from_logs(logs, m1, m2, term)
 
 
 class TestLogMomentProfiles:
