@@ -6,12 +6,16 @@ rotates each into its sample principal direction, as ``estimate
 --direction fpc`` does, and times ``select_k`` on them. Each call is
 measured for wall time and for minor page faults, read from
 ``getrusage`` around the call. One untimed call per sample comes first.
+Each of the two bootstrap stages is timed, and its blocks of resamples
+counted, by wrapping ``bootstrap._stage_argmin`` and
+``bootstrap._draw_block`` from this script.
 
     GLIBC_TUNABLES=glibc.malloc.mmap_threshold=131072 \\
         python3 scripts/bench_select_k.py --label after
 
-prints best and median milliseconds and the median minor faults per call
-and writes them to ``<out>/BENCH_<label>.json`` (``results/`` by default).
+prints best and median milliseconds and the median minor faults per call,
+and the median milliseconds and the blocks of each stage, and writes them
+to ``<out>/BENCH_<label>.json`` (``results/`` by default).
 The malloc setting is the one the benchmark in ``perfbench/`` runs under;
 it is recorded in the JSON, since page faults depend on it.
 """
@@ -35,6 +39,7 @@ from dirquant import (
     sample_t,
     select_k,
 )
+from dirquant import bootstrap
 
 SIGMA = np.array([[5.0, 0.1], [0.1, 1.0]])
 SEEDS = (2024, 2025, 2026, 2027)
@@ -49,21 +54,45 @@ def samples(n: int) -> list:
     return out
 
 
+class StageProbe:
+    """Milliseconds and block count of each stage of the last select_k call."""
+
+    def __init__(self):
+        self.ms, self.blocks, self._stage = {}, {}, None
+        stage_argmin, draw_block = bootstrap._stage_argmin, bootstrap._draw_block
+
+        def timed(table, m, b, seed, stage, *rest):
+            self._stage, self.blocks[stage] = stage, 0
+            t0 = time.perf_counter()
+            result = stage_argmin(table, m, b, seed, stage, *rest)
+            self.ms[stage] = 1e3 * (time.perf_counter() - t0)
+            return result
+
+        def counted(*args):
+            self.blocks[self._stage] += 1
+            return draw_block(*args)
+
+        bootstrap._stage_argmin = timed
+        bootstrap._draw_block = counted
+
+
 def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def measure(sample, b1: int, repeat: int):
-    """Milliseconds and minor faults of ``repeat`` timed calls."""
+def measure(sample, b1: int, repeat: int, probe: StageProbe):
+    """Milliseconds and minor faults of ``repeat`` timed calls, and each
+    call's milliseconds per stage."""
     select_k(sample, b1=b1, seed=7)
-    ms, faults = [], []
+    ms, faults, stage_ms = [], [], []
     for _ in range(repeat):
         f0, t0 = minor_faults(), time.perf_counter()
         select_k(sample, b1=b1, seed=7)
         t1, f1 = time.perf_counter(), minor_faults()
         ms.append(1e3 * (t1 - t0))
         faults.append(f1 - f0)
-    return ms, faults
+        stage_ms.append(dict(probe.ms))
+    return ms, faults, stage_ms
 
 
 def main() -> None:
@@ -76,11 +105,15 @@ def main() -> None:
     ap.add_argument("--out", default="results", help="directory for BENCH_<label>.json")
     args = ap.parse_args()
 
-    ms, faults = [], []
+    probe = StageProbe()
+    ms, faults, stage_ms, blocks = [], [], [], []
     for sample in samples(args.n):
-        t, f = measure(sample, args.b1, args.repeat)
+        t, f, s = measure(sample, args.b1, args.repeat, probe)
         ms += t
         faults += f
+        stage_ms += s
+        blocks.append(dict(probe.blocks))
+    stages = sorted(probe.blocks)
     result = {
         "label": args.label,
         "n": args.n,
@@ -91,6 +124,10 @@ def main() -> None:
         "median_ms": statistics.median(ms),
         "median_minor_faults": statistics.median(faults),
         "max_minor_faults": max(faults),
+        "stage_median_ms": {str(s): statistics.median(c[s] for c in stage_ms)
+                            for s in stages},
+        # blocks of the last call on each sample, which n and b1 fix
+        "stage_blocks": {str(s): [c[s] for c in blocks] for s in stages},
         "glibc_tunables": os.environ.get("GLIBC_TUNABLES"),
         "numpy": np.__version__,
         "python": platform.python_version(),
@@ -100,6 +137,9 @@ def main() -> None:
     print(f"select_k n={args.n} b1={args.b1}, {len(ms)} calls: "
           f"best {result['best_ms']:.1f} ms, median {result['median_ms']:.1f} ms, "
           f"median {result['median_minor_faults']:.0f} minor faults")
+    for s in stages:
+        print(f"  stage {s}: median {result['stage_median_ms'][str(s)]:.1f} ms, "
+              f"blocks {result['stage_blocks'][str(s)]}")
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"BENCH_{args.label}.json"

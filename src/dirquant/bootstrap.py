@@ -10,8 +10,11 @@ rows with any non-positive component are dropped; a resample retaining
 fewer rows than a floor is redrawn from the same stream. Resamples are
 drawn and their error curves computed in blocks of row indices. Every
 per-block array is a view into one workspace, allocated once per call
-and sized for the larger stage, so the block loop allocates no large
-array and touches no fresh memory after the first block.
+and sized for BLOCK resamples of the larger stage, so the block loop
+allocates no large array and touches no fresh memory after the first
+block. Each stage takes as many resamples per block as the workspace
+holds at its size, so the smaller second stage runs in fewer, larger
+blocks; at n = 5000 and b1 = 1000, in one.
 
 The error curves need each resample's retained values in descending
 order and their logs, which depend only on the sample. So each stage
@@ -23,14 +26,15 @@ its draws, cuts them to the widest resample and gathers their logs.
 
 Resample i of stage s draws its rows as
 ``np.random.default_rng([seed, s, i]).integers(0, n, m)``, then its
-redraws from the same generator. The first draws of a block are replayed
-in batch: numpy's SeedSequence hash runs vectorised over the block's
-indices, each stream's PCG64 state is derived from it, and one reused
-PCG64 supplies the raw outputs that Lemire's multiply-shift maps to
-[0, n). A stream whose mapping would reject an output, a redraw and any
-input outside 0 <= seed < 2^32, 2 <= n < 2^32 go through ``default_rng``
-itself, as does every stream if a once-per-process probe finds that the
-replay disagrees with the installed numpy.
+redraws from the same generator. The first draws are replayed in batch:
+numpy's SeedSequence hash runs vectorised over all of a stage's indices
+once, four 64-bit words a stream; each block derives its streams' PCG64
+states from their words, and one reused PCG64 supplies the raw outputs
+that Lemire's multiply-shift maps to [0, n). A stream whose mapping
+would reject an output, a redraw and any input outside 0 <= seed < 2^32,
+2 <= n < 2^32 go through ``default_rng`` itself, as does every stream if
+a once-per-process probe finds that the replay disagrees with the
+installed numpy.
 """
 
 from __future__ import annotations
@@ -56,10 +60,11 @@ DEFAULT_MIN_RETAINED = 10
 # Floor below which the procedure cannot run at all: the error curve
 # needs k = 2, hence at least three positive rows.
 HARD_MIN_RETAINED = 3
-# Resamples drawn and reduced together. The workspace of select_k holds
-# four buffers of 8 d (BLOCK+1) m1 bytes, 4.7 MiB at n = 5000, d = 2.
-# There, blocks of 128 ran faster than blocks of 32 or 64 on a 2-core
-# x86-64 Xeon with numpy 2.4.
+# Stage-1 resamples drawn and reduced together; the workspace of select_k
+# holds four buffers of 8 d (BLOCK+1) m1 bytes, 4.7 MiB at n = 5000, d = 2,
+# and stage 2 takes as many of its smaller resamples per block as that
+# holds, all 1000 there. At that size, on a 2-core x86-64 Xeon with numpy
+# 2.4, blocks of 32 and of 256 ran slower than 128, and 64 or 96 no faster.
 BLOCK = 128
 
 
@@ -121,14 +126,18 @@ class _Workspace:
     - buffer 3: the low words of u*n, ``keep``, then the error block,
       whose rows 1, ..., B hold M2 and then the errors.
 
-    Every buffer holds max(d, 1) (B+1) m float64, enough for any block of
-    up to B resamples of size up to m, whose draws alone take B m. Pages
-    are touched only as far as a block reaches, and reused by every later
-    block and stage.
+    Every buffer holds max(d, 1) ``capacity`` float64, with capacity
+    (B+1) m for B resamples of size m. That is enough for any block of B'
+    resamples of size m' with (B'+1) m' <= capacity, whose draws alone take
+    B' m' and whose error block takes d (B'+1) (m'-1). So a workspace sized
+    for stage 1 runs capacity // m2 - 1 resamples of the smaller stage-2
+    size m2 at once. Pages are touched only as far as a block reaches, and
+    reused by every later block and stage.
     """
 
     def __init__(self, d: int, block: int, m: int):
-        size = 8 * max(d, 1) * (block + 1) * m
+        self.capacity = (block + 1) * m
+        size = 8 * max(d, 1) * self.capacity
         self._buffers = [np.empty(size, dtype=np.uint8) for _ in range(4)]
 
     def array(self, buffer: int, shape, dtype) -> np.ndarray:
@@ -175,8 +184,11 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def _pcg_states(seed: int, stage: int, indices) -> list:
-    """PCG64 (state, inc) of ``default_rng([seed, stage, i])`` for each i."""
+def _seed_words(seed: int, stage: int, indices) -> np.ndarray:
+    """(B, 4) uint64 seed words of ``default_rng([seed, stage, i])`` for each i.
+
+    numpy's SeedSequence hash, run vectorised over the indices.
+    """
     idx = np.asarray(indices, dtype=np.uint32)
     entropy = [np.full_like(idx, seed), np.full_like(idx, stage), idx, np.zeros_like(idx)]
     consts = iter(_POOL_HASH)
@@ -188,9 +200,14 @@ def _pcg_states(seed: int, stage: int, indices) -> list:
     words = [_hashmix(pool[i % 4], c).astype(np.uint64) for i, c in enumerate(_STATE_HASH)]
     # Little-endian pairs of 32-bit words make the four 64-bit seed words:
     # the first two the initial state, the last two the stream increment.
-    seeds = [(words[2 * j] | words[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)]
+    return np.stack([words[2 * j] | words[2 * j + 1] << np.uint64(32) for j in range(4)],
+                    axis=1)
+
+
+def _pcg_states(words: np.ndarray) -> list:
+    """PCG64 (state, inc) of each stream from its row of ``_seed_words``."""
     out = []
-    for hi, lo, inc_hi, inc_lo in zip(*seeds):
+    for hi, lo, inc_hi, inc_lo in words.tolist():
         # PCG's srandom_r: state 0, one LCG step, add the seed, one more step.
         inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
         state = ((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128
@@ -198,31 +215,32 @@ def _pcg_states(seed: int, stage: int, indices) -> list:
     return out
 
 
-def _replayed_draws(n: int, m: int, seed: int, stage: int, indices, ws: _Workspace):
-    """First draws of the streams ``indices``, without building them.
+def _replayed_draws(n: int, m: int, words: np.ndarray, ws: _Workspace):
+    """First draws of the streams with ``_seed_words`` rows ``words``,
+    without building them.
 
     Returns the (B, m) draws, a view into ``ws``, and a (B,) mask of the
     streams replayed exactly. A stream is not exact if Lemire's method
     rejects one of its words, since numpy then draws again and shifts the
     rest.
     """
-    b, half = len(indices), (m + 1) // 2
+    b, half = len(words), (m + 1) // 2
     raw = ws.array(2, (b, half), np.uint64)
     bitgen = np.random.PCG64(0)
     doc = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    for row, (state, inc) in zip(raw, _pcg_states(seed, stage, indices)):
+    for row, (state, inc) in zip(raw, _pcg_states(words)):
         doc["state"] = {"state": state, "inc": inc}
         bitgen.state = doc
         row[:] = bitgen.random_raw(half)
     # integers() takes the low 32 bits of each raw output, then the high,
     # and maps a word u to the high half of u*n; it rejects u if the low
     # half falls below 2^32 mod n.
-    words = raw.astype("<u8", copy=False).view("<u4")[:, :m]
-    low = np.multiply(words, np.uint32(n), out=ws.array(3, (b, m), np.uint32))
+    u32 = raw.astype("<u8", copy=False).view("<u4")[:, :m]
+    low = np.multiply(u32, np.uint32(n), out=ws.array(3, (b, m), np.uint32))
     accepted = np.greater_equal(low, np.uint32((1 << 32) % n), out=ws.array(0, (b, m), bool))
     draws = ws.array(1, (b, m), np.int64)
     high = draws.view(np.uint64)
-    np.multiply(words, np.uint64(n), out=high, dtype=np.uint64)
+    np.multiply(u32, np.uint64(n), out=high, dtype=np.uint64)
     high >>= np.uint64(32)
     return draws, accepted.all(axis=1)
 
@@ -235,7 +253,8 @@ def _replay_matches_numpy() -> bool:
     seed, stage, index, n, m = 2**32 - 1, 2, 4321, 5000, 7
     want = np.random.default_rng([seed, stage, index]).integers(0, n, m)
     try:
-        draws, exact = _replayed_draws(n, m, seed, stage, [index], _Workspace(1, 1, m))
+        draws, exact = _replayed_draws(n, m, _seed_words(seed, stage, [index]),
+                                       _Workspace(1, 1, m))
     except Exception:
         return False
     return bool(exact[0]) and np.array_equal(draws[0], want)
@@ -245,17 +264,26 @@ def _is_word(value) -> bool:
     return isinstance(value, (int, np.integer)) and 0 <= value <= _MASK32
 
 
-def _first_draws(n: int, m: int, seed: int, stage: int, indices, ws: _Workspace) -> np.ndarray:
-    """(B, m) first draws ``default_rng([seed, stage, i]).integers(0, n, m)``,
-    a view into ``ws``."""
+def _stream_words(n: int, m: int, seed: int, stage: int, indices) -> Optional[np.ndarray]:
+    """``_seed_words`` of the streams ``indices``, or None if their first
+    draws of m rows from [0, n) go through ``default_rng`` itself."""
     replayable = (_is_word(seed) and _is_word(stage) and 2 <= n <= _MASK32 and m >= 1
                   and len(indices) > 0 and 0 <= min(indices) and max(indices) <= _MASK32)
     if not (replayable and _replay_matches_numpy()):
+        return None
+    return _seed_words(seed, stage, indices)
+
+
+def _first_draws(n: int, m: int, seed: int, stage: int, indices,
+                 words: Optional[np.ndarray], ws: _Workspace) -> np.ndarray:
+    """(B, m) first draws ``default_rng([seed, stage, i]).integers(0, n, m)``,
+    a view into ``ws``; ``words`` are the streams' ``_stream_words``."""
+    if words is None:
         draws = ws.array(1, (len(indices), m), np.int64)
         for row, i in zip(draws, indices):
             row[:] = np.random.default_rng([seed, stage, i]).integers(0, n, m)
         return draws
-    draws, exact = _replayed_draws(n, m, seed, stage, indices, ws)
+    draws, exact = _replayed_draws(n, m, words, ws)
     for i in np.flatnonzero(~exact):
         draws[i] = np.random.default_rng([seed, stage, indices[i]]).integers(0, n, m)
     return draws
@@ -289,8 +317,9 @@ def _rank_table(sample: np.ndarray):
 
 
 def _draw_block(pos: np.ndarray, m: int, seed: int, stage: int, indices,
-                min_retained: int, ws: _Workspace):
-    """Draw the resamples ``indices`` of one stage, each from its own stream.
+                words: Optional[np.ndarray], min_retained: int, ws: _Workspace):
+    """Draw the resamples ``indices`` of one stage, each from its own stream,
+    whose ``_stream_words`` are ``words``.
 
     Returns the (B, m) drawn row indices and the (B, m) mask ``pos[draws]``
     of rows positive in every component, both views into ``ws``. A
@@ -298,7 +327,7 @@ def _draw_block(pos: np.ndarray, m: int, seed: int, stage: int, indices,
     stream, up to REDRAW_ATTEMPTS draws in all.
     """
     n = pos.size
-    draws = _first_draws(n, m, seed, stage, indices, ws)
+    draws = _first_draws(n, m, seed, stage, indices, words, ws)
     # mode="clip" writes straight into ``out``; draws lie in [0, n) anyway
     keep = np.take(pos, draws, out=ws.array(3, draws.shape, bool), mode="clip")
     for i in np.flatnonzero(keep.sum(axis=1) < min_retained):
@@ -408,17 +437,22 @@ def optimal_k_for_size(
 
 def _stage_argmin(table, m: int, b: int, seed: int, stage: int, min_retained: int,
                   ws: _Workspace) -> np.ndarray:
-    """``optimal_k_for_size`` on a sample's ``_rank_table``, in blocks of
-    BLOCK resamples that all run in ``ws``."""
+    """``optimal_k_for_size`` on a sample's ``_rank_table``, in blocks of as
+    many resamples as ``ws`` holds at size m. The streams are hashed once
+    for the stage; each block steps its own streams' PCG64 states."""
     if b < 1:
         raise ValueError(f"need at least one resample, got b={b}")
     pos, rank, logs = table
     d = rank.shape[0]
     sums = np.zeros((d, m + 2))
     counts = np.zeros((d, m + 2))
-    for start in range(0, b, BLOCK):
-        indices = range(start, min(start + BLOCK, b))
-        draws, keep = _draw_block(pos, m, seed, stage, indices, min_retained, ws)
+    block = min(b, ws.capacity // m - 1)
+    words = _stream_words(pos.size, m, seed, stage, range(b))
+    for start in range(0, b, block):
+        stop = min(start + block, b)
+        draws, keep = _draw_block(pos, m, seed, stage, range(start, stop),
+                                  None if words is None else words[start:stop],
+                                  min_retained, ws)
         _add_error_curves(sums, counts, rank, logs, draws, keep, ws)
     return _argmin_per_marginal(sums, counts, b)
 

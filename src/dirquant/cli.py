@@ -500,6 +500,10 @@ def run_mc_study(cfg: RunConfig) -> dict:
     if cfg.n is None:
         raise ValueError("mc-study needs --n")
     n = int(cfg.n)
+    if n < 1:
+        raise ValueError(f"mc-study needs --n >= 1, got {n}")
+    if cfg.replicates < 1:
+        raise ValueError(f"mc-study needs --replicates >= 1, got {cfg.replicates}")
     alpha = parse_alpha(cfg.alpha) if cfg.alpha is not None else 1.0 / n
     u = parse_direction(cfg.direction, params.d, model_sigma=params.sigma)
     grid = theta_grid(params.d, cfg.grid, cfg.delta)

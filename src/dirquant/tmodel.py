@@ -89,6 +89,8 @@ def sample_t(params: TParams, n: int, seed) -> np.ndarray:
     Uses the symmetric square root of sigma, so X = mu + sqrt(sigma) N / sqrt(S/nu)
     with N standard normal rows and S chi-square(nu). Reproducible from seed.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
     root = _sqrtm_spd(params.sigma)
     s = rng.chisquare(params.nu, n)

@@ -228,10 +228,10 @@ class TestOptimalK:
             assert np.array_equal(column[np.argsort(place[pos])], np.sort(column)[::-1])
 
 
-def half_positive_sample(seed):
+def half_positive_sample(seed, n=600):
     rng = np.random.default_rng(seed)
-    sample = pareto_sample(rng, 600, 2)
-    sample[rng.uniform(size=600) < 0.5, 1] *= -1.0
+    sample = pareto_sample(rng, n, 2)
+    sample[rng.uniform(size=n) < 0.5, 1] *= -1.0
     return sample
 
 
@@ -284,15 +284,19 @@ def workspace(indices, m):
 
 
 def first_draws(n, m, seed, stage, indices):
-    return bootstrap._first_draws(n, m, seed, stage, indices, workspace(indices, m))
+    words = bootstrap._stream_words(n, m, seed, stage, indices)
+    return bootstrap._first_draws(n, m, seed, stage, indices, words, workspace(indices, m))
 
 
 def replayed_draws(n, m, seed, stage, indices):
-    return bootstrap._replayed_draws(n, m, seed, stage, indices, workspace(indices, m))
+    words = bootstrap._seed_words(seed, stage, indices)
+    return bootstrap._replayed_draws(n, m, words, workspace(indices, m))
 
 
 def draw_block(pos, m, seed, stage, indices, floor):
-    return bootstrap._draw_block(pos, m, seed, stage, indices, floor, workspace(indices, m))
+    words = bootstrap._stream_words(pos.size, m, seed, stage, indices)
+    return bootstrap._draw_block(pos, m, seed, stage, indices, words, floor,
+                                 workspace(indices, m))
 
 
 def block_widths(sample, m, b, seed, stage, floor):
@@ -415,6 +419,78 @@ class TestStreamReplay:
         assert not bootstrap._replay_matches_numpy()
         assert np.array_equal(first_draws(5000, 31, 7, 1, range(50)),
                               numpy_draws(5000, 31, 7, 1, range(50)))
+
+
+def drawn_blocks(monkeypatch):
+    """Per stage, the indices and stream words of each block _draw_block draws."""
+    blocks = {}
+    real = bootstrap._draw_block
+
+    def spy(pos, m, seed, stage, indices, words, *rest):
+        blocks.setdefault(stage, []).append((indices, words))
+        return real(pos, m, seed, stage, indices, words, *rest)
+
+    monkeypatch.setattr(bootstrap, "_draw_block", spy)
+    return blocks
+
+
+class TestStageBlocks:
+    """Each stage runs in blocks of as many resamples as the workspace holds."""
+
+    def test_second_stage_runs_as_one_block(self, monkeypatch):
+        blocks = drawn_blocks(monkeypatch)
+        sample = pareto_sample(np.random.default_rng(71), 5000, 2)
+        sel = select_k(sample, b1=1000, seed=8)
+        assert (sel.m1, sel.m2) == (594, 70)
+        assert [len(i) for i, _ in blocks[1]] == [128] * 7 + [104]
+        assert [len(i) for i, _ in blocks[2]] == [1000]
+        # each block carries the stage's hash of its own streams
+        for stage, runs in blocks.items():
+            for indices, words in runs:
+                assert np.array_equal(words, bootstrap._seed_words(8, stage, indices))
+
+    def test_second_stage_over_two_blocks_matches_loop(self, monkeypatch):
+        # at n = 2000 the workspace holds 129 * 299 draws: 875 resamples of 44
+        blocks = drawn_blocks(monkeypatch)
+        captured = []
+        real = bootstrap._argmin_per_marginal
+
+        def spy(sums, counts, b):
+            captured.append((sums.copy(), counts.copy()))
+            return real(sums, counts, b)
+
+        monkeypatch.setattr(bootstrap, "_argmin_per_marginal", spy)
+        sample = half_positive_sample(72, 2000)
+        sel = select_k(sample, b1=1000, seed=9)
+        assert (sel.m1, sel.m2) == (299, 44)
+        assert [len(i) for i, _ in blocks[2]] == [875, 125]
+        ref_sums, ref_counts = loop_sums(sample, 44, 1000, 9, stage=2)
+        assert np.array_equal(captured[1][0], ref_sums)
+        assert np.array_equal(captured[1][1], ref_counts)
+
+    def test_stage_hash_equals_per_index_streams(self):
+        seed, stage, b = 7, 1, 1000
+        words = bootstrap._stream_words(5000, 594, seed, stage, range(b))
+        assert words.shape == (b, 4) and words.dtype == np.uint64
+        picks = [0, 127, 128, b - 1]
+        for i, (state, inc) in zip(picks, bootstrap._pcg_states(words[picks])):
+            assert np.array_equal(words[i], bootstrap._seed_words(seed, stage, [i])[0])
+            want = np.random.default_rng([seed, stage, i]).bit_generator.state["state"]
+            assert (state, inc) == (want["state"], want["inc"])
+
+    def test_non_word_seed_goes_through_numpy(self, fresh_probe, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("replayed a stream outside the replay's domain")
+
+        # the probe passes first, so only the domain check can keep the replay out
+        assert bootstrap._replay_matches_numpy()
+        monkeypatch.setattr(bootstrap, "_replayed_draws", refuse)
+        assert bootstrap._stream_words(600, 40, 2**32, 1, range(30)) is None
+        sample = half_positive_sample(73)
+        sums, counts = kernel_sums(monkeypatch, sample, 40, 30, 2**32)
+        ref_sums, ref_counts = loop_sums(sample, 40, 30, 2**32)
+        assert np.array_equal(sums, ref_sums)
+        assert np.array_equal(counts, ref_counts)
 
 
 class TestConvergenceRate:

@@ -567,6 +567,23 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err) == {
             "error": "ValueError", "message": "oracle-t needs --k >= 1, got 0"}
 
+    @pytest.mark.parametrize("args, message", [
+        (["mc-study", "--n", "100", "--replicates", "0"],
+         "mc-study needs --replicates >= 1, got 0"),
+        (["mc-study", "--n", "100", "--replicates", "-2"],
+         "mc-study needs --replicates >= 1, got -2"),
+        (["mc-study", "--n", "0"], "mc-study needs --n >= 1, got 0"),
+        (["simulate-t", "--n", "0"], "n must be at least 1, got 0"),
+        (["simulate-t", "--n", "-5"], "n must be at least 1, got -5"),
+    ])
+    def test_nonpositive_count_is_usage_error(self, args, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(args + ["--mu", MU2, "--sigma", SIG2, "--nu", "3",
+                            "--output", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError",
+                                                       "message": message}
+        assert not any(tmp_path.iterdir())
+
     def test_argparse_usage_exit(self):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--bogus-flag"])
