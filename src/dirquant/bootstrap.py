@@ -28,12 +28,12 @@ Resample i of stage s draws its rows as
 ``np.random.default_rng([seed, s, i]).integers(0, n, m)``, then its
 redraws from the same generator. The first draws are replayed in batch:
 numpy's SeedSequence hash runs vectorised over all of a stage's indices
-once, four 64-bit words a stream; each block derives its streams' PCG64
-states from their words, and one reused PCG64 supplies the raw outputs
-that Lemire's multiply-shift maps to [0, n). A stream whose mapping
-would reject an output, a redraw and any input outside 0 <= seed < 2^32,
-2 <= n < 2^32 go through ``default_rng`` itself, as does every stream if
-a once-per-process probe finds that the replay disagrees with the
+once, four 64-bit words a stream; numpy builds each stream's PCG64 from
+its words, and that PCG64 supplies the raw outputs that Lemire's
+multiply-shift maps to [0, n). A stream whose mapping would reject an
+output, a redraw and any input outside 0 <= seed < 2^32, 2 <= n < 2^32
+go through ``default_rng`` itself, as does every stream if a
+once-per-process probe finds that the replay disagrees with the
 installed numpy.
 """
 
@@ -148,7 +148,6 @@ class _Workspace:
 
 
 _MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
 
 
 def _hash_constants(value: int, mult: int, count: int) -> list:
@@ -169,8 +168,6 @@ _XSHIFT = np.uint32(16)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
 _STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-# Multiplier of PCG64's 128-bit LCG (numpy/random/src/pcg64/pcg64.h).
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 def _hashmix(value: np.ndarray, const) -> np.ndarray:
@@ -204,15 +201,20 @@ def _seed_words(seed: int, stage: int, indices) -> np.ndarray:
                     axis=1)
 
 
-def _pcg_states(words: np.ndarray) -> list:
-    """PCG64 (state, inc) of each stream from its row of ``_seed_words``."""
-    out = []
-    for hi, lo, inc_hi, inc_lo in words.tolist():
-        # PCG's srandom_r: state 0, one LCG step, add the seed, one more step.
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        state = ((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128
-        out.append((state, inc))
-    return out
+class _StreamSeed(np.random.bit_generator.ISeedSequence):
+    """One stream's row of ``_seed_words`` as the seed of a PCG64.
+
+    PCG64 asks its seed sequence for four 64-bit words; any other request
+    means a numpy that seeds differently, and raises.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a stream seed holds 4 uint64 words, not {n_words} {dtype}")
+        return self.words
 
 
 def _replayed_draws(n: int, m: int, words: np.ndarray, ws: _Workspace):
@@ -226,12 +228,8 @@ def _replayed_draws(n: int, m: int, words: np.ndarray, ws: _Workspace):
     """
     b, half = len(words), (m + 1) // 2
     raw = ws.array(2, (b, half), np.uint64)
-    bitgen = np.random.PCG64(0)
-    doc = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    for row, (state, inc) in zip(raw, _pcg_states(words)):
-        doc["state"] = {"state": state, "inc": inc}
-        bitgen.state = doc
-        row[:] = bitgen.random_raw(half)
+    for row, seed in zip(raw, words):
+        row[:] = np.random.PCG64(_StreamSeed(seed)).random_raw(half)
     # integers() takes the low 32 bits of each raw output, then the high,
     # and maps a word u to the high half of u*n; it rejects u if the low
     # half falls below 2^32 mod n.
@@ -248,8 +246,8 @@ def _replayed_draws(n: int, m: int, words: np.ndarray, ws: _Workspace):
 @functools.lru_cache(maxsize=None)
 def _replay_matches_numpy() -> bool:
     """Whether the replay reproduces one stream, with no rejected word, of
-    the installed numpy; a replay that raises (say, on a changed PCG64
-    state format) counts as a mismatch."""
+    the installed numpy; a replay that raises (say, when PCG64 asks its
+    seed sequence for other words) counts as a mismatch."""
     seed, stage, index, n, m = 2**32 - 1, 2, 4321, 5000, 7
     want = np.random.default_rng([seed, stage, index]).integers(0, n, m)
     try:
@@ -439,7 +437,7 @@ def _stage_argmin(table, m: int, b: int, seed: int, stage: int, min_retained: in
                   ws: _Workspace) -> np.ndarray:
     """``optimal_k_for_size`` on a sample's ``_rank_table``, in blocks of as
     many resamples as ``ws`` holds at size m. The streams are hashed once
-    for the stage; each block steps its own streams' PCG64 states."""
+    for the stage; each block seeds its own streams' PCG64s from them."""
     if b < 1:
         raise ValueError(f"need at least one resample, got b={b}")
     pos, rank, logs = table

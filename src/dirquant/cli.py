@@ -22,7 +22,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -176,30 +176,17 @@ def parse_k(text: str):
         raise ValueError(f"k must be an integer or 'auto', got {text!r}") from None
 
 
-def _parse_model(args, require: bool = True) -> Optional[TParams]:
-    if args.mu is None and args.sigma is None and args.nu is None:
-        if require:
-            raise ValueError("this command needs --mu, --sigma and --nu")
-        return None
-    if args.mu is None or args.sigma is None or args.nu is None:
-        raise ValueError("--mu, --sigma and --nu must be given together")
-    mu = np.array([float(c) for c in args.mu.split(",")], dtype=float)
-    flat = np.array([float(c) for c in args.sigma.split(",")], dtype=float)
+def _parse_model(cfg: RunConfig) -> TParams:
+    mu = np.array([float(c) for c in cfg.mu.split(",")], dtype=float)
+    flat = np.array([float(c) for c in cfg.sigma.split(",")], dtype=float)
     d = mu.size
     if flat.size != d * d:
         raise ValueError(f"--sigma needs {d * d} row-major entries for d={d}")
-    return TParams(mu, flat.reshape(d, d), float(args.nu))
+    return TParams(mu, flat.reshape(d, d), float(cfg.nu))
 
 
 # ---------------------------------------------------------------------------
 # surface serialization
-
-
-def surface_doc(surface: QuantileSurface, source: Optional[str] = None) -> dict:
-    doc = surface.to_dict()
-    if source is not None:
-        doc["source"] = source
-    return doc
 
 
 def surface_doc_to_csv(doc: dict) -> str:
@@ -255,38 +242,104 @@ def _sample_csv_text(sample: np.ndarray) -> str:
 # run configuration
 
 
+def _option(default, help: str, **argparse_kw):
+    """A RunConfig field: its default, and the help and keywords (``type``,
+    ``choices`` or ``action``) of its flag."""
+    return field(default=default, metadata={"help": help, **argparse_kw})
+
+
 @dataclass
 class RunConfig:
-    """Merged command options (config file values overridden by CLI flags)."""
+    """Merged command options (config file values overridden by CLI flags).
 
-    input: Optional[str] = None
-    output: Optional[str] = None
-    format: str = "json"
-    direction: str = "e"
-    alpha: Optional[str] = None
-    k: str = "auto"
-    grid: int = 64
-    delta: float = 0.01
-    epsilon: float = 0.25
-    b1: int = 1000
-    seed: int = 0
-    center: bool = False
-    replicates: int = 100
-    mu: Optional[str] = None
-    sigma: Optional[str] = None
-    nu: Optional[float] = None
-    n: Optional[int] = None
-    has_header: bool = False
-    k_rho: Optional[int] = None
-    workers: int = 1
+    Each field is one option: the flag ``--`` plus its name with ``-`` for
+    ``_``, and the config key of its name, on every command of
+    ``COMMANDS`` that lists it.
+    """
+
+    input: Optional[str] = _option(None, "input CSV path")
+    output: Optional[str] = _option(None, "output path ('-' for stdout)")
+    format: str = _option("json", "output format", choices=("json", "csv"))
+    direction: str = _option("e", "direction: 'e', '-e', 'fpc' or comma list")
+    alpha: Optional[str] = _option(None, "level, decimal or fraction like 1/5000")
+    k: str = _option("auto", "sample fraction: integer or 'auto'")
+    grid: int = _option(64, "grid resolution per angle", type=int)
+    delta: float = _option(0.01, "grid margin in radians", type=float)
+    epsilon: float = _option(0.25, "bootstrap exponent", type=float)
+    b1: int = _option(1000, "bootstrap resample count", type=int)
+    seed: int = _option(0, "RNG seed", type=int)
+    center: bool = _option(False, "subtract the componentwise median before analysis",
+                           action=argparse.BooleanOptionalAction)
+    replicates: int = _option(100, "replicate count", type=int)
+    mu: Optional[str] = _option(None, "model location, comma list")
+    sigma: Optional[str] = _option(None, "model scale matrix, row-major comma list")
+    nu: Optional[float] = _option(None, "model degrees of freedom", type=float)
+    n: Optional[int] = _option(None, "sample size", type=int)
+    has_header: bool = _option(False, "input CSV has a header row",
+                               action=argparse.BooleanOptionalAction)
+    k_rho: Optional[int] = _option(
+        None, "separate sample fraction for the radius estimator", type=int)
+    workers: int = _option(1, "threads running replicates in parallel", type=int)
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
-_BOOL_KEYS = {"center", "has_header"}
+_OPTIONS = {f.name: f.metadata for f in fields(RunConfig)}
+
+# Each subcommand: its help, its options and the options it cannot run without.
+COMMANDS = {
+    "rotate": ("rotate a sample into direction coordinates",
+               ("input", "output", "format", "direction", "has_header"),
+               ("input",)),
+    "select-k": ("bootstrap selection of the sample fraction",
+                 ("input", "output", "direction", "epsilon", "b1", "seed", "has_header"),
+                 ("input",)),
+    "estimate": ("estimate a quantile surface",
+                 ("input", "output", "format", "direction", "alpha", "k", "grid",
+                  "delta", "epsilon", "b1", "seed", "center", "has_header", "k_rho"),
+                 ("input", "alpha")),
+    "flag": ("flag rows beyond the level-alpha surface",
+             ("input", "output", "format", "direction", "alpha", "k", "epsilon", "b1",
+              "seed", "center", "has_header"),
+             ("input", "alpha")),
+    "simulate-t": ("draw a multivariate t sample",
+                   ("output", "mu", "sigma", "nu", "n", "seed"),
+                   ("mu", "sigma", "nu", "n")),
+    "oracle-t": ("theoretical surface of a t model",
+                 ("output", "format", "direction", "alpha", "k", "grid", "delta", "mu",
+                  "sigma", "nu", "n"),
+                 ("mu", "sigma", "nu", "alpha", "n")),
+    "mc-study": ("replicated simulation study",
+                 ("output", "direction", "alpha", "k", "grid", "delta", "epsilon", "b1",
+                  "seed", "replicates", "mu", "sigma", "nu", "n", "workers"),
+                 ("mu", "sigma", "nu", "n")),
+}
+
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
-_INT_KEYS = {"grid", "b1", "seed", "replicates", "n", "k_rho", "workers"}
-_FLOAT_KEYS = {"delta", "epsilon", "nu"}
+_KINDS = {int: "an integer", float: "a number"}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _config_value(option, text: str, where: str):
+    """A config file value cast as its option's flag casts it; ``where``
+    names the file, line and key."""
+    if "action" in option:
+        if text.lower() not in _BOOL_WORDS:
+            raise ValueError(
+                f"{where} must be one of 1/true/yes/on or 0/false/no/off, got {text!r}"
+            )
+        return _BOOL_WORDS[text.lower()]
+    cast = option.get("type", str)
+    try:
+        value = cast(text)
+    except ValueError:
+        raise ValueError(f"{where} must be {_KINDS[cast]}, got {text!r}") from None
+    if "choices" in option and value not in option["choices"]:
+        choices = "/".join(option["choices"])
+        raise ValueError(f"{where} must be one of {choices}, got {text!r}")
+    return value
 
 
 def load_config_file(path: str) -> dict:
@@ -300,43 +353,31 @@ def load_config_file(path: str) -> dict:
             if not sep:
                 raise ValueError(f"{path}: line {i + 1} is not key=value: {ln!r}")
             key = key.strip().replace("-", "_")
-            val = val.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _OPTIONS:
                 raise ValueError(f"{path}: unknown config key {key!r}")
-            if key in _BOOL_KEYS:
-                if val.lower() not in _BOOL_WORDS:
-                    raise ValueError(
-                        f"{path}: line {i + 1}: {key} must be one of "
-                        f"1/true/yes/on or 0/false/no/off, got {val!r}"
-                    )
-                out[key] = _BOOL_WORDS[val.lower()]
-            elif key in _INT_KEYS or key in _FLOAT_KEYS:
-                cast, kind = (int, "an integer") if key in _INT_KEYS else (float, "a number")
-                try:
-                    out[key] = cast(val)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {i + 1}: {key} must be {kind}, got {val!r}"
-                    ) from None
-            else:
-                out[key] = val
+            where = f"{path}: line {i + 1}: {key}"
+            out[key] = _config_value(_OPTIONS[key], val.strip(), where)
     return out
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
+    _, options, required = COMMANDS[args.command]
     cfg = RunConfig()
-    file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    file_values = load_config_file(args.config) if args.config else {}
     for key, val in file_values.items():
-        # the parser defines one attribute per option of the subcommand
-        if key not in vars(args):
+        if key not in options:
             raise ValueError(
                 f"{args.config}: config key {key!r} is not an option of {args.command}"
             )
         setattr(cfg, key, val)
-    for f in fields(RunConfig):
-        cli_val = getattr(args, f.name, None)
-        if cli_val is not None:
-            setattr(cfg, f.name, cli_val)
+    for name in options:
+        if getattr(args, name) is not None:
+            setattr(cfg, name, getattr(args, name))
+    missing = [_flag(name) for name in required if getattr(cfg, name) is None]
+    if missing:
+        *rest, last = missing
+        listed = f"{', '.join(rest)} and {last}" if rest else last
+        raise ValueError(f"{args.command} needs {listed}")
     return cfg
 
 
@@ -383,8 +424,6 @@ def cmd_select_k(cfg: RunConfig) -> int:
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
-    if cfg.alpha is None:
-        raise ValueError("estimate needs --alpha")
     sample = parse_csv(cfg.input, cfg.has_header)
     alpha = parse_alpha(cfg.alpha)
     u = parse_direction(cfg.direction, sample.shape[1], sample)
@@ -403,7 +442,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
         )
     if offset is not None:
         surface = shift_surface(surface, offset)
-    doc = surface_doc(surface)
+    doc = surface.to_dict()
     text = surface_doc_to_csv(doc) if cfg.format == "csv" else _json_text(doc)
     _write_text(cfg.output, text)
     report = {
@@ -418,8 +457,6 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
 
 def cmd_flag(cfg: RunConfig) -> int:
-    if cfg.alpha is None:
-        raise ValueError("flag needs --alpha")
     sample = parse_csv(cfg.input, cfg.has_header)
     alpha = parse_alpha(cfg.alpha)
     u = parse_direction(cfg.direction, sample.shape[1], sample)
@@ -452,8 +489,6 @@ def cmd_flag(cfg: RunConfig) -> int:
 
 def cmd_simulate_t(cfg: RunConfig) -> int:
     params = _parse_model(cfg)
-    if cfg.n is None:
-        raise ValueError("simulate-t needs --n")
     sample = sample_t(params, cfg.n, cfg.seed)
     _write_text(cfg.output, _sample_csv_text(sample))
     return 0
@@ -461,8 +496,6 @@ def cmd_simulate_t(cfg: RunConfig) -> int:
 
 def cmd_oracle_t(cfg: RunConfig) -> int:
     params = _parse_model(cfg)
-    if cfg.alpha is None or cfg.n is None:
-        raise ValueError("oracle-t needs --alpha and --n")
     k = parse_k(cfg.k)
     if k == "auto":
         raise ValueError("oracle-t needs an explicit integer --k (anchor t = n/k)")
@@ -480,7 +513,7 @@ def cmd_oracle_t(cfg: RunConfig) -> int:
     x_rot = extrapolate(rhos[:, None] * grid.thetas / (t_anchor * alpha), a, b, fit.gamma)
     surface = QuantileSurface.from_rotated(alpha, r, grid.thetas, x_rot, rhos,
                                            np.zeros(len(grid), dtype=bool), fit)
-    doc = surface_doc(surface, source="oracle")
+    doc = {**surface.to_dict(), "source": "oracle"}
     text = surface_doc_to_csv(doc) if cfg.format == "csv" else _json_text(doc)
     _write_text(cfg.output, text)
     return 0
@@ -497,9 +530,7 @@ def run_mc_study(cfg: RunConfig) -> dict:
     them to disk.
     """
     params = _parse_model(cfg)
-    if cfg.n is None:
-        raise ValueError("mc-study needs --n")
-    n = int(cfg.n)
+    n = cfg.n
     if n < 1:
         raise ValueError(f"mc-study needs --n >= 1, got {n}")
     if cfg.replicates < 1:
@@ -626,74 +657,17 @@ def cmd_mc_study(cfg: RunConfig) -> int:
 # argument parser
 
 
-def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
-    table = {
-        "input": dict(flags=["--input"], help="input CSV path"),
-        "output": dict(flags=["--output"], help="output path ('-' for stdout)"),
-        "format": dict(flags=["--format"], choices=["json", "csv"], help="output format"),
-        "direction": dict(flags=["--direction"],
-                          help="direction: 'e', '-e', 'fpc' or comma list"),
-        "alpha": dict(flags=["--alpha"], help="level, decimal or fraction like 1/5000"),
-        "k": dict(flags=["--k"], help="sample fraction: integer or 'auto'"),
-        "grid": dict(flags=["--grid"], type=int, help="grid resolution per angle"),
-        "delta": dict(flags=["--delta"], type=float, help="grid margin in radians"),
-        "epsilon": dict(flags=["--epsilon"], type=float, help="bootstrap exponent"),
-        "b1": dict(flags=["--b1"], type=int, help="bootstrap resample count"),
-        "seed": dict(flags=["--seed"], type=int, help="RNG seed"),
-        "center": dict(flags=["--center"], action=argparse.BooleanOptionalAction,
-                       help="subtract the componentwise median before analysis"),
-        "replicates": dict(flags=["--replicates"], type=int, help="replicate count"),
-        "mu": dict(flags=["--mu"], help="model location, comma list"),
-        "sigma": dict(flags=["--sigma"], help="model scale matrix, row-major comma list"),
-        "nu": dict(flags=["--nu"], type=float, help="model degrees of freedom"),
-        "n": dict(flags=["--n"], type=int, help="sample size"),
-        "has_header": dict(flags=["--has-header"], action=argparse.BooleanOptionalAction,
-                           help="input CSV has a header row"),
-        "k_rho": dict(flags=["--k-rho"], type=int,
-                      help="separate sample fraction for the radius estimator"),
-        "workers": dict(flags=["--workers"], type=int,
-                        help="threads running replicates in parallel"),
-    }
-    p.add_argument("--config", help="key=value config file; flags override it")
-    for name in names:
-        info = dict(table[name])
-        flags = info.pop("flags")
-        p.add_argument(*flags, default=None, dest=name, **info)
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dirquant",
         description="Extreme directional multivariate quantile estimation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rotate", help="rotate a sample into direction coordinates")
-    _add_common(p, "input", "output", "format", "direction", "has_header")
-
-    p = sub.add_parser("select-k", help="bootstrap selection of the sample fraction")
-    _add_common(p, "input", "output", "direction", "epsilon", "b1", "seed",
-                "has_header")
-
-    p = sub.add_parser("estimate", help="estimate a quantile surface")
-    _add_common(p, "input", "output", "format", "direction", "alpha", "k", "grid",
-                "delta", "epsilon", "b1", "seed", "center", "has_header", "k_rho")
-
-    p = sub.add_parser("flag", help="flag rows beyond the level-alpha surface")
-    _add_common(p, "input", "output", "format", "direction", "alpha", "k", "epsilon",
-                "b1", "seed", "center", "has_header")
-
-    p = sub.add_parser("simulate-t", help="draw a multivariate t sample")
-    _add_common(p, "output", "mu", "sigma", "nu", "n", "seed")
-
-    p = sub.add_parser("oracle-t", help="theoretical surface of a t model")
-    _add_common(p, "output", "format", "direction", "alpha", "k", "grid", "delta",
-                "mu", "sigma", "nu", "n")
-
-    p = sub.add_parser("mc-study", help="replicated simulation study")
-    _add_common(p, "output", "direction", "alpha", "k", "grid", "delta", "epsilon",
-                "b1", "seed", "replicates", "mu", "sigma", "nu", "n", "workers")
-
+    for command, (help_text, options, _) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="key=value config file; flags override it")
+        for name in options:
+            p.add_argument(_flag(name), **_OPTIONS[name])
     return parser
 
 
@@ -714,8 +688,6 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         cfg = build_config(args)
-        if cfg.k is not None:
-            cfg.k = str(cfg.k)
         # looked up at each call, so a replaced cmd_* function takes effect
         return globals()["cmd_" + args.command.replace("-", "_")](cfg)
     except tuple(EXIT_CODES) as exc:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     DegenerateMomentsError,
+    HeavyTailError,
     PositivityError,
     TailDisparityWarning,
 )
@@ -66,6 +67,17 @@ def extrapolate(base, a, b, gamma):
 def frechet_weights(x, a, b, gamma):
     """Inverse of ``extrapolate``; 0 at or below the endpoint b - a/gamma."""
     return np.maximum(0.0, 1.0 + gamma * (x - b) / a) ** (1.0 / gamma)
+
+
+def _require_heavy_tails(gamma: np.ndarray) -> None:
+    """Raise HeavyTailError naming the first marginal whose tail index is
+    not positive; ``extrapolate`` and its inverse need them all positive."""
+    if (gamma <= 0).any():
+        j = int(np.argmax(gamma <= 0))
+        raise HeavyTailError(
+            f"marginal {j} has tail index {float(gamma[j])!r} <= 0; heavy-tail "
+            "extrapolation requires positive indexes"
+        )
 
 
 def _check_k(n: int, k: int):

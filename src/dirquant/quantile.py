@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .bootstrap import KSelection, select_k
-from .errors import DataError, HeavyTailError, PositivityError, _require_finite
-from .evt import TailFit, extrapolate, fit_tails, frechet_weights
+from .errors import DataError, PositivityError, _require_finite
+from .evt import TailFit, _require_heavy_tails, extrapolate, fit_tails, frechet_weights
 from .geometry import Direction, RotationMatrix, rotate, rotation_for
 from .stdf import StdfContext, rho_hat_batch
 
@@ -94,12 +94,7 @@ def quantile_point(fit: TailFit, rho, theta, alpha: float) -> np.ndarray:
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     gam = fit.gamma_marginal
-    if (gam <= 0).any():
-        j = int(np.argmax(gam <= 0))
-        raise HeavyTailError(
-            f"marginal {j} tail index {float(gam[j])!r} <= 0; out-sample extrapolation "
-            "requires heavy tails"
-        )
+    _require_heavy_tails(gam)
     base = (fit.k * np.asarray(rho, dtype=float)[..., None] * theta) / (fit.n * alpha)
     if (base <= 0).any() or not np.isfinite(base).all():
         raise ValueError(f"non-positive extrapolation base {base!r}")
@@ -301,8 +296,7 @@ def tail_levels(
     r = rotation_for(u) if not isinstance(u, RotationMatrix) else u
     zr = rotate(r, zs)
     gam = fit.gamma_marginal
-    if (gam <= 0).any():
-        raise HeavyTailError("tail levels require positive marginal tail indexes")
+    _require_heavy_tails(gam)
     w = frechet_weights(zr, fit.a, fit.b, gam)
     norms = np.linalg.norm(w, axis=1)
     out = np.full(zs.shape[0], np.inf)

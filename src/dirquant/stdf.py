@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HeavyTailError
-from .evt import TailFit, extrapolate
+from .evt import TailFit, _require_heavy_tails, extrapolate
 
 # Largest number of pairwise comparisons materialized at once by the
 # batched counting kernel: two boolean buffers of this many cells, 4 MB.
@@ -152,12 +151,7 @@ def rho_hat_batch(ctx: StdfContext, thetas) -> tuple[np.ndarray, np.ndarray]:
     if thetas.shape[1] != ctx.d:
         raise ValueError(f"theta dimension {thetas.shape[1]} does not match d={ctx.d}")
     gam = ctx.fit.gamma_marginal
-    if (gam <= 0).any():
-        j = int(np.argmax(gam <= 0))
-        raise HeavyTailError(
-            f"marginal {j} has tail index {float(gam[j])!r} <= 0; heavy-tail "
-            "extrapolation requires positive indexes"
-        )
+    _require_heavy_tails(gam)
     if (thetas < 0).any():
         raise ValueError("theta components must be non-negative")
     norms = np.linalg.norm(thetas, axis=1)

@@ -408,6 +408,13 @@ class TestStreamReplay:
         assert np.array_equal(first_draws(1, 5, 0, 1, range(3)),
                               np.zeros((3, 5), dtype=np.int64))
 
+    def test_stream_seed_gives_only_four_uint64_words(self):
+        seed = bootstrap._StreamSeed(bootstrap._seed_words(7, 1, [0])[0])
+        assert seed.generate_state(4, np.uint64) is seed.words
+        for n_words, dtype in [(4, np.uint32), (8, np.uint32), (2, np.uint64)]:
+            with pytest.raises(ValueError, match="4 uint64 words"):
+                seed.generate_state(n_words, dtype)
+
     def test_probe_failure_sends_every_stream_to_numpy(self, fresh_probe, monkeypatch):
         real = bootstrap._replayed_draws
 
@@ -473,10 +480,10 @@ class TestStageBlocks:
         words = bootstrap._stream_words(5000, 594, seed, stage, range(b))
         assert words.shape == (b, 4) and words.dtype == np.uint64
         picks = [0, 127, 128, b - 1]
-        for i, (state, inc) in zip(picks, bootstrap._pcg_states(words[picks])):
+        for i in picks:
             assert np.array_equal(words[i], bootstrap._seed_words(seed, stage, [i])[0])
-            want = np.random.default_rng([seed, stage, i]).bit_generator.state["state"]
-            assert (state, inc) == (want["state"], want["inc"])
+            got = np.random.PCG64(bootstrap._StreamSeed(words[i])).state
+            assert got == np.random.default_rng([seed, stage, i]).bit_generator.state
 
     def test_non_word_seed_goes_through_numpy(self, fresh_probe, monkeypatch):
         def refuse(*args):

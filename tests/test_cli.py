@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -465,6 +466,7 @@ class TestCommands:
     @pytest.mark.parametrize("line, message", [
         ("grid=abc", "line 3: grid must be an integer, got 'abc'"),
         ("delta=", "line 3: delta must be a number, got ''"),
+        ("format=xml", "line 3: format must be one of json/csv, got 'xml'"),
     ])
     def test_config_number_value_rejected(self, line, message, data_csv, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
@@ -476,6 +478,20 @@ class TestCommands:
         assert err["error"] == "ValueError"
         assert err["message"] == f"{cfgfile}: {message}"
         assert not out.exists()
+
+
+# the options each command cannot run without, and a value for each
+REQUIRED = {
+    "rotate": ["input"],
+    "select-k": ["input"],
+    "estimate": ["input", "alpha"],
+    "flag": ["input", "alpha"],
+    "simulate-t": ["mu", "sigma", "nu", "n"],
+    "oracle-t": ["mu", "sigma", "nu", "alpha", "n"],
+    "mc-study": ["mu", "sigma", "nu", "n"],
+}
+REQUIRED_VALUES = {"input": "unread.csv", "alpha": "1/1500", "mu": MU2, "sigma": SIG2,
+                   "nu": "3", "n": "1500"}
 
 
 class TestExitCodes:
@@ -548,7 +564,7 @@ class TestExitCodes:
             raise exc
 
         monkeypatch.setattr(cli, "cmd_rotate", fail)
-        assert main(["rotate"]) == code
+        assert main(["rotate", "--input", "unread.csv"]) == code
         assert json.loads(capsys.readouterr().err) == {
             "error": type(exc).__name__, "message": str(exc)}
 
@@ -584,6 +600,46 @@ class TestExitCodes:
                                                        "message": message}
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command, message", [
+        ("rotate", "rotate needs --input"),
+        ("select-k", "select-k needs --input"),
+        ("estimate", "estimate needs --input and --alpha"),
+        ("flag", "flag needs --input and --alpha"),
+        ("simulate-t", "simulate-t needs --mu, --sigma, --nu and --n"),
+        ("oracle-t", "oracle-t needs --mu, --sigma, --nu, --alpha and --n"),
+        ("mc-study", "mc-study needs --mu, --sigma, --nu and --n"),
+    ])
+    def test_bare_command_names_its_required_options(self, command, message, tmp_path,
+                                                      capsys):
+        assert main([command, "--output", str(tmp_path / "out")]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError",
+                                                       "message": message}
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, missing", [
+        (command, name) for command, names in REQUIRED.items() for name in names])
+    def test_each_required_option_is_checked(self, command, missing, data_csv, tmp_path,
+                                             capsys):
+        given = {**REQUIRED_VALUES, "input": data_csv}
+        argv = [command, "--output", str(tmp_path / "out")]
+        for name in REQUIRED[command]:
+            if name != missing:
+                argv += [cli._flag(name), given[name]]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": f"{command} needs {cli._flag(missing)}"}
+        assert not any(tmp_path.iterdir())
+
+    def test_required_options_from_config_file(self, tmp_path):
+        argv = ["simulate-t", "--seed", "4"]
+        flags_out, file_out = tmp_path / "flags.csv", tmp_path / "file.csv"
+        assert main(argv + ["--mu", MU2, "--sigma", SIG2, "--nu", "3", "--n", "50",
+                            "--output", str(flags_out)]) == 0
+        cfgfile = tmp_path / "model.cfg"
+        cfgfile.write_text(f"mu={MU2}\nsigma={SIG2}\nnu=3\nn=50\n")
+        assert main(argv + ["--config", str(cfgfile), "--output", str(file_out)]) == 0
+        assert file_out.read_bytes() == flags_out.read_bytes()
+
     def test_argparse_usage_exit(self):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--bogus-flag"])
@@ -601,6 +657,45 @@ class TestExitCodes:
         assert "estimate" in proc.stdout
 
 
+# a value of each RunConfig field, as the text of its flag and config key;
+# True stands for a switch given as its bare flag and as "true"
+OPTION_TEXT = {
+    "input": "in.csv", "output": "out.json", "format": "csv", "direction": "fpc",
+    "alpha": "1/50", "k": "150", "grid": "7", "delta": "0.02", "epsilon": "0.3",
+    "b1": "40", "seed": "9", "center": True, "replicates": "3", "mu": "0,0",
+    "sigma": "1,0,0,1", "nu": "2.5", "n": "100", "has_header": True, "k_rho": "30",
+    "workers": "2",
+}
+
+
+class TestOptionTable:
+    def test_fields_are_the_commands_options(self):
+        names = [f.name for f in fields(cli.RunConfig)]
+        listed = {name for _, options, _ in cli.COMMANDS.values() for name in options}
+        assert listed == set(names) == set(OPTION_TEXT)
+        for _, options, required in cli.COMMANDS.values():
+            assert set(required) <= set(options)
+
+    @pytest.mark.parametrize("name", sorted(OPTION_TEXT))
+    def test_config_value_equals_flag_value(self, name, tmp_path):
+        command = next(c for c, (_, options, _) in cli.COMMANDS.items() if name in options)
+        text = OPTION_TEXT[name]
+        base = [command]
+        for other in REQUIRED[command]:
+            if other != name:
+                base += [cli._flag(other), REQUIRED_VALUES[other]]
+        flag = [cli._flag(name)] if text is True else [cli._flag(name), text]
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{name}={'true' if text is True else text}\n")
+        parse = cli._shared_parser().parse_args
+        from_flag = cli.build_config(parse(base + flag))
+        from_file = cli.build_config(parse(base + ["--config", str(cfgfile)]))
+        got = getattr(from_file, name)
+        assert got == getattr(from_flag, name)
+        assert type(got) is type(getattr(from_flag, name))
+        assert got != getattr(cli.RunConfig(), name)
+
+
 def test_parser_built_once_per_process(monkeypatch):
     built, ran = [], []
     real = cli.make_parser
@@ -613,8 +708,8 @@ def test_parser_built_once_per_process(monkeypatch):
     cli._shared_parser.cache_clear()
     monkeypatch.setattr(cli, "cmd_rotate", lambda cfg: ran.append(("rotate", cfg.direction)) or 0)
     monkeypatch.setattr(cli, "cmd_flag", lambda cfg: ran.append(("flag", cfg.alpha)) or 0)
-    assert main(["rotate", "--direction", "fpc"]) == 0
-    assert main(["flag", "--alpha", "0.01"]) == 0
+    assert main(["rotate", "--input", "unread.csv", "--direction", "fpc"]) == 0
+    assert main(["flag", "--input", "unread.csv", "--alpha", "0.01"]) == 0
     assert built == [1]
     assert ran == [("rotate", "fpc"), ("flag", "0.01")]
 

@@ -110,7 +110,19 @@ class TestQuantilePoint:
                       a=np.array([1.0]), b=np.array([2.0]), n=1000)
         with pytest.raises(HeavyTailError) as exc:
             quantile_point(fit, 1.0, np.array([1.0]), 0.001)
-        assert "marginal 0 tail index -0.5 <= 0" in str(exc.value)
+        assert "marginal 0 has tail index -0.5 <= 0" in str(exc.value)
+        assert "np.float64" not in str(exc.value)
+
+    def test_tail_levels_name_the_nonpositive_marginal(self):
+        # the radius context's own fit is heavy tailed; the level's is not
+        good = TailFit(k=10, gamma_marginal=np.array([0.4, 0.3]), gamma=0.35,
+                       a=np.array([1.0, 1.0]), b=np.array([2.0, 2.0]), n=1000)
+        bad = TailFit(k=10, gamma_marginal=np.array([0.4, -0.25]), gamma=0.1,
+                      a=np.array([1.0, 1.0]), b=np.array([2.0, 2.0]), n=1000)
+        ctx = StdfContext(np.full((1000, 2), 3.0), good)
+        with pytest.raises(HeavyTailError) as exc:
+            tail_levels(ctx, [[3.0, 3.0]], diagonal_direction(2), bad)
+        assert "marginal 1 has tail index -0.25 <= 0" in str(exc.value)
         assert "np.float64" not in str(exc.value)
 
     def test_alpha_domain(self):
