@@ -20,8 +20,7 @@ SIGMA = "5,0.1,0.1,1"
 NU = "3"
 
 
-def run(out_prefix: str, n: int, replicates: int, direction: str, seed: int,
-        workers: int) -> None:
+def run(out_prefix: str, n: int, replicates: int, direction: str, seed: int) -> None:
     argv = [
         "mc-study",
         "--mu", MU, "--sigma", SIGMA, "--nu", NU,
@@ -30,7 +29,6 @@ def run(out_prefix: str, n: int, replicates: int, direction: str, seed: int,
         "--direction", direction,
         "--grid", "33",
         "--seed", str(seed),
-        "--workers", str(workers),
         "--output", out_prefix,
     ]
     rc = dirquant_main(argv)
@@ -44,7 +42,6 @@ if __name__ == "__main__":
     ap.add_argument("--out", default="results/mc2d", help="output prefix")
     ap.add_argument("--replicates", type=int, default=100)
     ap.add_argument("--seed", type=int, default=2026)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--quick", action="store_true",
                     help="small-n smoke run (n=500, 10 replicates)")
     args = ap.parse_args()
@@ -55,4 +52,4 @@ if __name__ == "__main__":
     for direction in ("e", "fpc"):
         for n, reps in sizes:
             prefix = f"{args.out}_{direction}_n{n}"
-            run(prefix, n, reps, direction, args.seed, args.workers)
+            run(prefix, n, reps, direction, args.seed)

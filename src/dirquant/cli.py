@@ -176,9 +176,21 @@ def parse_k(text: str):
         raise ValueError(f"k must be an integer or 'auto', got {text!r}") from None
 
 
+def _parse_floats(text: str, option: str) -> np.ndarray:
+    """A comma list of floats; a bad cell names the option and its
+    1-based component."""
+    values = []
+    for i, cell in enumerate(text.split(",")):
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise ValueError(f"cannot parse {option} component {i + 1}: {cell!r}") from None
+    return np.array(values, dtype=float)
+
+
 def _parse_model(cfg: RunConfig) -> TParams:
-    mu = np.array([float(c) for c in cfg.mu.split(",")], dtype=float)
-    flat = np.array([float(c) for c in cfg.sigma.split(",")], dtype=float)
+    mu = _parse_floats(cfg.mu, "--mu")
+    flat = _parse_floats(cfg.sigma, "--sigma")
     d = mu.size
     if flat.size != d * d:
         raise ValueError(f"--sigma needs {d * d} row-major entries for d={d}")
@@ -279,7 +291,6 @@ class RunConfig:
                                action=argparse.BooleanOptionalAction)
     k_rho: Optional[int] = _option(
         None, "separate sample fraction for the radius estimator", type=int)
-    workers: int = _option(1, "threads running replicates in parallel", type=int)
 
 
 _OPTIONS = {f.name: f.metadata for f in fields(RunConfig)}
@@ -309,7 +320,7 @@ COMMANDS = {
                  ("mu", "sigma", "nu", "alpha", "n")),
     "mc-study": ("replicated simulation study",
                  ("output", "direction", "alpha", "k", "grid", "delta", "epsilon", "b1",
-                  "seed", "replicates", "mu", "sigma", "nu", "n", "workers"),
+                  "seed", "replicates", "mu", "sigma", "nu", "n"),
                  ("mu", "sigma", "nu", "n")),
 }
 
@@ -566,9 +577,7 @@ def run_mc_study(cfg: RunConfig) -> dict:
             "re": relative_error(x_tilde_star, x_hat_star),
         }
 
-    from .parallel import ordered_map
-
-    outcomes = ordered_map(one, range(cfg.replicates), cfg.workers)
+    outcomes = [one(rep) for rep in range(cfg.replicates)]
     results = {i: res for i, res in enumerate(outcomes) if "error" not in res}
     failures = [{"replicate": i, "error": res["error"]}
                 for i, res in enumerate(outcomes) if "error" in res]
@@ -603,12 +612,8 @@ def run_mc_study(cfg: RunConfig) -> dict:
     stack = np.stack([res["x_original"] for res in results])
     bands = np.percentile(stack, [15.0, 50.0, 85.0], axis=0)
     t_med = float(np.median([n / res["k_hat"] for res in results]))
-    # theoretical surface at the median anchor, reusing the rho curve
-    rotated_model = rotate_elliptical(params, r)
-    a, b = theoretical_norm_sequences(rotated_model, t_med)
-    bases = rho_theory[:, None] * grid.thetas / (t_med * alpha)
-    x_tilde = extrapolate(bases, a, b, params.gamma)
-    oracle_pts = x_tilde @ r.entries
+    # theoretical surface at the median anchor
+    oracle_pts = asymptotic_quantile(params, r, alpha, grid.thetas, t_med) @ r.entries
     band_header = [f"theta_{j + 1}" for j in range(d)]
     for j in range(d):
         band_header += [f"x{j + 1}_p15", f"x{j + 1}_p50", f"x{j + 1}_p85",

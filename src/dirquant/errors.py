@@ -39,7 +39,8 @@ class DegenerateMomentsError(DataError):
 
 
 class DegenerateModelError(DataError):
-    """Model parameters are degenerate (eigenvalue ties, |r| = 1, ...)."""
+    """Model parameters are degenerate (non-finite values, eigenvalue ties,
+    |r| = 1, ...)."""
 
 
 class UnsupportedDimensionError(DataError):
@@ -83,7 +84,3 @@ class SmallSampleWarning(EstimationWarning):
 
 class NonFiniteCorrectionWarning(EstimationWarning):
     """A bootstrap correction factor was non-finite and replaced by 1."""
-
-
-class FlooredRhoWarning(EstimationWarning):
-    """Empirical tail-dependence evaluations hit the zero-count floor."""

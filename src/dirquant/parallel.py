@@ -1,31 +1,6 @@
-"""Deterministic ordered mapping over independent work items.
+"""Empty placeholder module; the package runs no work in parallel.
 
-Its one caller is ``mc-study``, which maps over replicates. Work items
-own their RNG streams (derived from a seed and the item index), and
-results are always consumed in item order, so output is bit-identical
-for any worker count.
+It stays only because the benchmark's tracer imports every module in its
+list of layers, ``parallel`` included. ROADMAP item 2's benchmark change
+drops that layer and deletes this file.
 """
-
-from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
-
-
-def ordered_map(fn: Callable, items: Sequence, workers: int = 1) -> list:
-    """Apply fn to each item, returning results in item order."""
-    if workers <= 1:
-        return [fn(item) for item in items]
-    out = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # Bounded submission window keeps memory flat; consumption stays
-        # in submission order regardless of completion order.
-        window = 4 * workers
-        pending = []
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) >= window:
-                out.append(pending.pop(0).result())
-        for fut in pending:
-            out.append(fut.result())
-    return out

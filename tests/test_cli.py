@@ -372,7 +372,7 @@ class TestCommands:
                 "--grid", "4", "--seed", "40"]
         p1, p2 = tmp_path / "run1", tmp_path / "run2"
         assert main(args + ["--output", str(p1)]) == 0
-        assert main(args + ["--output", str(p2), "--workers", "2"]) == 0
+        assert main(args + ["--output", str(p2)]) == 0
         for suffix in (".replicates.csv", ".rho.csv", ".bands.csv", ".summary.json"):
             b1 = (tmp_path / ("run1" + suffix)).read_bytes()
             b2 = (tmp_path / ("run2" + suffix)).read_bytes()
@@ -429,15 +429,15 @@ class TestCommands:
         assert (doc["b1"], doc["seed"]) == (40, 3)
 
     def test_config_key_unused_by_command_rejected(self, data_csv, tmp_path, capsys):
-        # select-k has no --workers: a file value for it would be ignored
+        # select-k has no --replicates: a file value for it would be ignored
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(f"input={data_csv}\nhas-header=true\nworkers=8\n")
+        cfgfile.write_text(f"input={data_csv}\nhas-header=true\nreplicates=8\n")
         out = tmp_path / "k.json"
         assert main(["select-k", "--config", str(cfgfile), "--b1", "40",
                      "--output", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
-        assert "'workers' is not an option of select-k" in err["message"]
+        assert "'replicates' is not an option of select-k" in err["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("word, centred", [("Yes", True), ("OFF", False)])
@@ -494,6 +494,14 @@ REQUIRED_VALUES = {"input": "unread.csv", "alpha": "1/1500", "mu": MU2, "sigma":
                    "nu": "3", "n": "1500"}
 
 
+def required_argv(command: str) -> list[str]:
+    """The command with a value for each option it cannot run without."""
+    argv = [command]
+    for name in REQUIRED[command]:
+        argv += [cli._flag(name), REQUIRED_VALUES[name]]
+    return argv
+
+
 class TestExitCodes:
     def test_usage_error_bad_alpha(self, data_csv):
         assert main(["estimate", "--input", data_csv, "--has-header",
@@ -545,11 +553,42 @@ class TestExitCodes:
                        f"direction component {index} is not finite (value {value})"}
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["select-k", "estimate", "flag"])
-    def test_workers_flag_only_on_mc_study(self, command, data_csv):
+    @pytest.mark.parametrize("command", ["simulate-t", "oracle-t"])
+    @pytest.mark.parametrize("model, message", [
+        (["--mu", "0,nan"], "mu component 2 is not finite (value nan)"),
+        (["--mu", "inf,0"], "mu component 1 is not finite (value inf)"),
+        (["--sigma", "1,0,0,inf"], "sigma component 4 is not finite (value inf)"),
+        (["--nu", "inf"], "nu is not finite (value inf)"),
+    ])
+    def test_non_finite_model_parameter(self, command, model, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(required_argv(command) + model + ["--output", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "DegenerateModelError", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model, message", [
+        (["--mu", "0,x"], "cannot parse --mu component 2: 'x'"),
+        (["--sigma", "1,0,,1"], "cannot parse --sigma component 3: ''"),
+    ])
+    def test_unparsable_model_component(self, model, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(required_argv("simulate-t") + model + ["--output", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_workers_option_rejected(self, command, tmp_path, capsys):
+        argv = required_argv(command)
         with pytest.raises(SystemExit) as exc:
-            main([command, "--input", data_csv, "--workers", "2"])
+            main(argv + ["--workers", "2"])
         assert exc.value.code == 2
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("workers=2\n")
+        capsys.readouterr()
+        assert main(argv + ["--config", str(cfgfile)]) == 2
+        assert "unknown config key 'workers'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("exc, code", [
         (ValueError("bad value"), 2),
@@ -664,7 +703,6 @@ OPTION_TEXT = {
     "alpha": "1/50", "k": "150", "grid": "7", "delta": "0.02", "epsilon": "0.3",
     "b1": "40", "seed": "9", "center": True, "replicates": "3", "mu": "0,0",
     "sigma": "1,0,0,1", "nu": "2.5", "n": "100", "has_header": True, "k_rho": "30",
-    "workers": "2",
 }
 
 

@@ -81,6 +81,17 @@ class TestTParams:
         with pytest.raises(DegenerateModelError):
             TParams(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 3.0)
 
+    @pytest.mark.parametrize("mu, sigma, nu, message", [
+        ([0.0, math.nan], np.eye(2), 3.0, "mu component 2 is not finite (value nan)"),
+        ([0.0, 0.0], [[1.0, -math.inf], [-math.inf, 1.0]], 3.0,
+         "sigma component 2 is not finite (value -inf)"),
+        ([0.0, 0.0], np.eye(2), math.nan, "nu is not finite (value nan)"),
+    ])
+    def test_rejects_non_finite_parameters(self, mu, sigma, nu, message):
+        with pytest.raises(DegenerateModelError) as exc:
+            TParams(mu, sigma, nu)
+        assert str(exc.value) == message
+
     def test_gamma_is_reciprocal_nu(self, params_2d):
         assert params_2d.gamma == pytest.approx(1.0 / 3.0)
 
@@ -527,6 +538,18 @@ class TestAsymptoticQuantile:
         want = asymptotic_quantile(params_2d, u, alpha, theta, t)
         got = quantile_point(fit, rho, theta, alpha)
         assert np.abs(got - want).max() < 1e-9
+
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_stacked_rows_equal_single_calls(self, d, params_2d):
+        params = params_2d if d == 2 else TParams(np.zeros(3), SIGMA_3D, 4.0)
+        r = rotation_for(fpc_direction(params.sigma))
+        thetas = theta_grid(d, 9 if d == 2 else 5, 0.01).thetas
+        stacked = asymptotic_quantile(params, r, 1e-4, thetas, 50.0)
+        assert stacked.shape == thetas.shape
+        for theta, point in zip(thetas, stacked):
+            single = asymptotic_quantile(params, r, 1e-4, theta, 50.0)
+            assert single.shape == (d,)
+            assert single.tolist() == point.tolist()
 
 
 class TestRelativeError:
