@@ -7,6 +7,11 @@ asymptotic theoretical point at theta = (1, 1, 1)/sqrt(3). Replicates
 whose tail fit cannot support extrapolation are reported, not silently
 dropped.
 
+The sizes share one ``--seed``, and ``mc-study`` does not hash n into
+its replicate seeds: replicate r draws the same leading chi-square
+mixing variables at every size (common random numbers), so the relative
+errors of different sizes come from correlated samples.
+
     python3 scripts/re_study_3d.py --sizes 500 50000 --replicates 20
 """
 

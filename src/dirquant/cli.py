@@ -24,6 +24,9 @@ import sys
 import warnings
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -55,11 +58,6 @@ from .tmodel import (
 )
 
 
-def _fmt(x: float) -> str:
-    """Format a float with 17 significant digits (lossless round trip)."""
-    return format(float(x), ".17g")
-
-
 # ---------------------------------------------------------------------------
 # parsing helpers
 
@@ -67,8 +65,11 @@ def _fmt(x: float) -> str:
 def parse_csv(path: str, has_header: bool = False) -> np.ndarray:
     """Read a rectangular numeric CSV of finite values into an (n, d) array."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+        text = fh.read()
+    # the file's lines, stripped, without blank and comment lines
+    lines = list(filter(None, map(str.strip, text.split("\n"))))
+    if "#" in text:
+        lines = [ln for ln in lines if not ln.startswith("#")]
     if has_header:
         lines = lines[1:]
     if not lines:
@@ -93,14 +94,13 @@ def _parse_cells(lines: list[str]) -> Optional[np.ndarray]:
     exactly what ``_parse_rows`` accepts; on None the caller reruns that
     loop for its error message.
     """
-    commas = lines[0].count(",")
-    if any(ln.count(",") != commas for ln in lines):
+    if len(set(map(str.count, lines, repeat(",")))) != 1:
         return None
     try:
         cells = np.array(",".join(lines).split(","), dtype=float)
     except ValueError:
         return None
-    return cells.reshape(len(lines), commas + 1)
+    return cells.reshape(len(lines), -1)
 
 
 def _parse_rows(path: str, lines: list[str]) -> np.ndarray:
@@ -198,36 +198,57 @@ def _parse_model(cfg: RunConfig) -> TParams:
 
 
 # ---------------------------------------------------------------------------
-# surface serialization
+# output: CSV rows and JSON documents
+
+# A CSV float cell: 17 significant digits round-trip every float64, and
+# inf prints as "inf".
+_CELL = "%.17g"
+# bools and None as CSV and JSON write them
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _fmt(x: float) -> str:
+    """One float as a CSV cell."""
+    return _CELL % x
+
+
+def _filled(template: str, sep: str, width: int, rows) -> str:
+    """``template`` once per row of ``width`` values, joined by ``sep`` and
+    filled by one % call, so that no string is built per row."""
+    values = tuple(chain.from_iterable(rows))
+    return sep.join([template] * (len(values) // width)) % values
+
+
+def _csv_text(header: list[str], cells: list[str], rows) -> str:
+    """CSV text: the header line, then one line per row tuple, whose entries
+    are written by the %-formats in ``cells`` (``_CELL`` for a float)."""
+    return ",".join(header) + "\n" + _filled(",".join(cells) + "\n", "", len(cells), rows)
 
 
 def surface_doc_to_csv(doc: dict) -> str:
     d = len(doc["direction"])
-    lines = []
-    lines.append(f"# alpha={_fmt(doc['alpha'])}")
-    lines.append("# direction=" + ",".join(_fmt(c) for c in doc["direction"]))
-    lines.append(f"# k={doc['k']}")
-    lines.append(f"# gamma={_fmt(doc['gamma'])}")
+    meta = [f"# alpha={_fmt(doc['alpha'])}",
+            "# direction=" + ",".join(map(_fmt, doc["direction"])),
+            f"# k={doc['k']}",
+            f"# gamma={_fmt(doc['gamma'])}"]
     if doc.get("source"):
-        lines.append(f"# source={doc['source']}")
+        meta.append(f"# source={doc['source']}")
     if doc.get("center_offset"):
-        lines.append("# center_offset=" + ",".join(_fmt(c) for c in doc["center_offset"]))
+        meta.append("# center_offset=" + ",".join(map(_fmt, doc["center_offset"])))
     header = (
         [f"theta_{j + 1}" for j in range(d)]
         + [f"x_rotated_{j + 1}" for j in range(d)]
         + [f"x_original_{j + 1}" for j in range(d)]
         + ["rho", "floored"]
     )
-    lines.append(",".join(header))
-    for p in doc["points"]:
-        cells = (
-            [_fmt(v) for v in p["theta"]]
-            + [_fmt(v) for v in p["x_rotated"]]
-            + [_fmt(v) for v in p["x_original"]]
-            + [_fmt(p["rho"]), "true" if p["floored"] else "false"]
-        )
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    rows = ((*p["theta"], *p["x_rotated"], *p["x_original"], p["rho"],
+             _LITERALS[p["floored"]]) for p in doc["points"])
+    return "\n".join(meta) + "\n" + _csv_text(header, [_CELL] * (3 * d + 1) + ["%s"], rows)
+
+
+def _sample_csv_text(sample: np.ndarray) -> str:
+    d = sample.shape[1]
+    return _csv_text([f"x{j + 1}" for j in range(d)], [_CELL] * d, zip(*sample.T.tolist()))
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -238,16 +259,112 @@ def _write_text(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
+class _NoTemplate(Exception):
+    """A value the JSON templates do not cover."""
+
+
+_NONE = type(None)
+
+
 def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(doc, indent=2, allow_nan=False) + "\\n"``, byte for byte.
+
+    With ``indent``, ``json.dumps`` runs CPython's pure-Python encoder.
+    Here each list of same-shaped values (surface points, flag rows, float
+    lists) is written from one %-template built for its shape, whose leaves
+    print as the encoder prints them. Any other value, and any value that
+    ``json.dumps`` rejects (nan, inf, numpy integers), goes to
+    ``json.dumps`` itself, so it also raises the same errors.
+    """
+    return _encode(doc, "") + "\n"
 
 
-def _sample_csv_text(sample: np.ndarray) -> str:
-    d = sample.shape[1]
-    lines = [",".join(f"x{j + 1}" for j in range(d))]
-    for row in sample:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _block(brackets: str, parts, ind: str) -> str:
+    """``parts`` between brackets, one per line, as the encoder indents them."""
+    inner = ind + "  "
+    return (brackets[0] + "\n" + inner + (",\n" + inner).join(parts)
+            + "\n" + ind + brackets[1])
+
+
+def _encode(o, ind: str) -> str:
+    """``o`` as the encoder writes it at indent ``ind``."""
+    inner = ind + "  "
+    if type(o) is dict and all(type(k) is str for k in o):
+        if not o:
+            return "{}"
+        return _block("{}", (encode_basestring_ascii(k) + ": " + _encode(v, inner)
+                             for k, v in o.items()), ind)
+    if type(o) is list:
+        if not o:
+            return "[]"
+        try:
+            template, columns = _template(o, inner)
+        except _NoTemplate:
+            return _block("[]", (_encode(v, inner) for v in o), ind)
+        return _block("[]", [_filled(template, ",\n" + inner, len(columns), zip(*columns))],
+                      ind)
+    try:
+        return _json_leaf(o)
+    except _NoTemplate:
+        # strings hold no raw newline, so this indents every line but the first
+        return json.dumps(o, indent=2, allow_nan=False).replace("\n", "\n" + ind)
+
+
+def _template(items: list, ind: str) -> tuple[str, list[list]]:
+    """A %-template that writes each of ``items`` at indent ``ind``, and the
+    columns of leaves that fill its slots; _NoTemplate if the items differ
+    in shape or hold a value no template covers."""
+    first = items[0]
+    inner = ind + "  "
+    if type(first) is dict and first:
+        keys = tuple(first)
+        if (set(map(type, items)) != {dict} or set(map(tuple, items)) != {keys}
+                or not all(type(k) is str for k in keys)):
+            raise _NoTemplate
+        columns = [list(map(itemgetter(k), items)) for k in keys]
+        labels = [encode_basestring_ascii(k).replace("%", "%%") + ": " for k in keys]
+        brackets = "{}"
+    elif type(first) is list and first:
+        if set(map(type, items)) != {list} or set(map(len, items)) != {len(first)}:
+            raise _NoTemplate
+        columns = list(map(list, zip(*items)))
+        labels = [""] * len(first)
+        brackets = "[]"
+    else:
+        return "%s", [_leaf_column(items)]
+    parts, leaves = [], []
+    for label, column in zip(labels, columns):
+        template, sub = _template(column, inner)
+        parts.append(label + template)
+        leaves += sub
+    return _block(brackets, parts, ind), leaves
+
+
+def _leaf_column(column: list) -> list:
+    """Scalars that print under "%s" as the encoder writes them."""
+    types = set(map(type, column))
+    if types <= {float, _NONE}:
+        # any nan or inf makes the sum non-finite; filter drops None (and 0.0)
+        if not (math.isfinite(sum(filter(None, column)))
+                or all(map(math.isfinite, filter(None, column)))):
+            raise _NoTemplate
+        return ["null" if v is None else v for v in column] if _NONE in types else column
+    if types == {bool}:
+        return list(map(_LITERALS.__getitem__, column))
+    return list(map(_json_leaf, column))
+
+
+def _json_leaf(v) -> str:
+    """A scalar as the encoder writes it."""
+    if v is None or v is True or v is False:
+        return _LITERALS[v]
+    if type(v) is str:
+        return encode_basestring_ascii(v)
+    if type(v) is int:
+        return int.__repr__(v)
+    if isinstance(v, float) and math.isfinite(v):
+        return float.__repr__(v)
+    raise _NoTemplate
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +596,9 @@ def cmd_flag(cfg: RunConfig) -> int:
     # plain Python floats and bools: per-row numpy scalars cost twice as much
     levels, flags = result.alpha_z.tolist(), result.flagged.tolist()
     if cfg.format == "csv":
-        lines = ["row,alpha_z,flagged"]
-        for i, (az, fl) in enumerate(zip(levels, flags)):
-            lines.append(f"{i},{format(az, '.17g') if math.isfinite(az) else 'inf'},"
-                         f"{'true' if fl else 'false'}")
-        _write_text(cfg.output, "\n".join(lines) + "\n")
+        rows = zip(range(len(levels)), levels, map(_LITERALS.__getitem__, flags))
+        _write_text(cfg.output,
+                    _csv_text(["row", "alpha_z", "flagged"], ["%d", _CELL, "%s"], rows))
     else:
         doc = {
             "alpha": float(alpha),
@@ -531,6 +646,13 @@ def cmd_oracle_t(cfg: RunConfig) -> int:
 
 
 def _replicate_seed(master: int, replicate: int, salt: int) -> int:
+    """Seed of a replicate's sample (salt 0) or of its bootstrap (salt 1).
+
+    n is deliberately not hashed in: runs at several ``--n`` with one
+    ``--seed`` use common random numbers, so replicate r draws the same
+    leading chi-square mixing variables at every n and the sizes compare
+    on correlated samples.
+    """
     return int(np.random.SeedSequence([master, replicate, salt]).generate_state(1)[0])
 
 
@@ -588,25 +710,23 @@ def run_mc_study(cfg: RunConfig) -> dict:
         )
 
     d = params.d
-    rep_lines = ["replicate,k_hat," +
-                 ",".join(f"gamma_ratio_{j + 1}" for j in range(d)) + ",re"]
-    for i, res in results.items():
-        rep_lines.append(
-            f"{i},{res['k_hat']},"
-            + ",".join(_fmt(v) for v in res["gamma_ratio"])
-            + f",{_fmt(res['re'])}"
-        )
+    replicates_csv = _csv_text(
+        ["replicate", "k_hat", *(f"gamma_ratio_{j + 1}" for j in range(d)), "re"],
+        ["%d", "%s"] + [_CELL] * (d + 1),
+        ((i, res["k_hat"], *res["gamma_ratio"].tolist(), res["re"])
+         for i, res in results.items()),
+    )
 
     n_angles = grid.angles.shape[1]
-    rho_lines = ["replicate," + ",".join(f"phi_{j + 1}" for j in range(n_angles))
-                 + ",rho_hat,rho_theory,floored"]
-    for i, res in results.items():
-        for g in range(len(grid)):
-            rho_lines.append(
-                f"{i}," + ",".join(_fmt(v) for v in grid.angles[g])
-                + f",{_fmt(res['rho_hat'][g])},{_fmt(rho_theory[g])},"
-                + ("true" if res["floored"][g] else "false")
-            )
+    angles, theory = grid.angles.T.tolist(), rho_theory.tolist()
+    rho_csv = _csv_text(
+        ["replicate", *(f"phi_{j + 1}" for j in range(n_angles)),
+         "rho_hat", "rho_theory", "floored"],
+        ["%d"] + [_CELL] * (n_angles + 2) + ["%s"],
+        (row for i, res in results.items()
+         for row in zip(repeat(i), *angles, res["rho_hat"].tolist(), theory,
+                        map(_LITERALS.__getitem__, res["floored"].tolist()))),
+    )
 
     results = list(results.values())
     stack = np.stack([res["x_original"] for res in results])
@@ -618,13 +738,10 @@ def run_mc_study(cfg: RunConfig) -> dict:
     for j in range(d):
         band_header += [f"x{j + 1}_p15", f"x{j + 1}_p50", f"x{j + 1}_p85",
                         f"x{j + 1}_oracle"]
-    band_lines = [",".join(band_header)]
-    for g in range(len(grid)):
-        cells = [_fmt(v) for v in grid.thetas[g]]
-        for j in range(d):
-            cells += [_fmt(bands[0, g, j]), _fmt(bands[1, g, j]),
-                      _fmt(bands[2, g, j]), _fmt(oracle_pts[g, j])]
-        band_lines.append(",".join(cells))
+    # per coordinate j: its three percentiles, then its oracle value
+    per_coord = np.stack([*bands, oracle_pts], axis=-1).reshape(len(grid), 4 * d)
+    table = np.concatenate([grid.thetas, per_coord], axis=1)
+    bands_csv = _csv_text(band_header, [_CELL] * (5 * d), zip(*table.T.tolist()))
 
     summary = {
         "n": n,
@@ -643,9 +760,9 @@ def run_mc_study(cfg: RunConfig) -> dict:
         "oracle_anchor_t": t_med,
     }
     return {
-        ".replicates.csv": "\n".join(rep_lines) + "\n",
-        ".rho.csv": "\n".join(rho_lines) + "\n",
-        ".bands.csv": "\n".join(band_lines) + "\n",
+        ".replicates.csv": replicates_csv,
+        ".rho.csv": rho_csv,
+        ".bands.csv": bands_csv,
         ".summary.json": _json_text(summary),
     }
 

@@ -32,8 +32,9 @@ def _require_finite_components(v: np.ndarray) -> None:
     flat = v.ravel()
     bad = np.flatnonzero(~np.isfinite(flat))
     if bad.size:
+        # numbered from 1, as rows, columns and model components are
         raise InvalidDirectionError(
-            f"direction component {bad[0]} is not finite (value {float(flat[bad[0]])!r})"
+            f"direction component {bad[0] + 1} is not finite (value {float(flat[bad[0]])!r})"
         )
 
 
@@ -60,8 +61,8 @@ class Direction:
         if small.any():
             idx = int(np.argmax(small))
             raise InvalidDirectionError(
-                f"direction component {idx} is below the non-null threshold "
-                f"{NONNULL_TOL} (value {comp[idx]!r})"
+                f"direction component {idx + 1} is below the non-null threshold "
+                f"{NONNULL_TOL} (value {float(comp[idx])!r})"
             )
 
     @property

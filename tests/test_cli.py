@@ -550,7 +550,7 @@ class TestExitCodes:
                      "--output", str(out)]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "InvalidDirectionError", "message":
-                       f"direction component {index} is not finite (value {value})"}
+                       f"direction component {index + 1} is not finite (value {value})"}
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate-t", "oracle-t"])

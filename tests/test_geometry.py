@@ -32,8 +32,10 @@ class TestDirection:
             Direction(np.array([1.0, 1.0]))
 
     def test_rejects_null_component(self):
-        with pytest.raises(InvalidDirectionError):
+        with pytest.raises(InvalidDirectionError) as exc:
             Direction(np.array([1.0, 0.0]))
+        assert str(exc.value) == ("direction component 2 is below the non-null "
+                                  "threshold 1e-08 (value 0.0)")
 
     def test_rejects_scalar(self):
         with pytest.raises(InvalidDirectionError):
@@ -44,9 +46,9 @@ class TestDirection:
         assert np.allclose(u.components, [0.6, 0.8])
 
     @pytest.mark.parametrize("v, message", [
-        ([np.nan, 1.0], "component 0 is not finite (value nan)"),
-        ([1.0, np.inf, 1.0], "component 1 is not finite (value inf)"),
-        ([1.0, 1.0, -np.inf], "component 2 is not finite (value -inf)"),
+        ([np.nan, 1.0], "component 1 is not finite (value nan)"),
+        ([1.0, np.inf, 1.0], "component 2 is not finite (value inf)"),
+        ([1.0, 1.0, -np.inf], "component 3 is not finite (value -inf)"),
     ])
     def test_rejects_non_finite_component(self, v, message):
         # from_vector checks before normalizing, which would turn every
