@@ -10,6 +10,10 @@ simulate-t  draw a multivariate t sample to CSV
 oracle-t    theoretical surface of a t model (same schema as estimate)
 mc-study    replicated simulation study with summary tables
 
+Each command parses its options, calls the library and writes the
+result. ``mc-study`` runs ``study.run_study`` and writes its arrays
+through ``write_study``, the one writer of its four files.
+
 Exit codes: 0 success, 2 usage error, 3 data/assumption error,
 4 numerical failure.
 """
@@ -38,19 +42,15 @@ from .geometry import Direction, diagonal_direction, rotate, rotation_for
 from .quantile import (
     QuantileSurface,
     estimate_surface,
-    fit_direction,
     flag_outliers,
-    quantile_point,
     shift_surface,
     theta_grid,
 )
-from .stdf import rho_hat_batch
+from .study import StudyResult, run_study
 from .tmodel import (
     ModelFit,
     TParams,
-    asymptotic_quantile,
     fpc_direction,
-    relative_error,
     rotate_elliptical,
     sample_t,
     theoretical_norm_sequences,
@@ -645,133 +645,73 @@ def cmd_oracle_t(cfg: RunConfig) -> int:
     return 0
 
 
-def _replicate_seed(master: int, replicate: int, salt: int) -> int:
-    """Seed of a replicate's sample (salt 0) or of its bootstrap (salt 1).
-
-    n is deliberately not hashed in: runs at several ``--n`` with one
-    ``--seed`` use common random numbers, so replicate r draws the same
-    leading chi-square mixing variables at every n and the sizes compare
-    on correlated samples.
-    """
-    return int(np.random.SeedSequence([master, replicate, salt]).generate_state(1)[0])
-
-
-def run_mc_study(cfg: RunConfig) -> dict:
-    """Replicated study of the estimation pipeline against the t oracle.
-
-    Returns the output payloads keyed by file suffix; the caller writes
-    them to disk.
-    """
-    params = _parse_model(cfg)
-    n = cfg.n
-    if n < 1:
-        raise ValueError(f"mc-study needs --n >= 1, got {n}")
-    if cfg.replicates < 1:
-        raise ValueError(f"mc-study needs --replicates >= 1, got {cfg.replicates}")
-    alpha = parse_alpha(cfg.alpha) if cfg.alpha is not None else 1.0 / n
-    u = parse_direction(cfg.direction, params.d, model_sigma=params.sigma)
-    grid = theta_grid(params.d, cfg.grid, cfg.delta)
-    r = rotation_for(u)
-    theta_star = np.ones(params.d) / np.sqrt(params.d)
-
-    rho_theory = theoretical_rho(grid.thetas, params, r)
-
-    def one(rep: int):
-        # a replicate whose tail fit cannot support extrapolation, or whose
-        # numerics fail, is reported as failed instead of aborting the study
-        sample = sample_t(params, n, _replicate_seed(cfg.seed, rep, 0))
-        try:
-            fitted = fit_direction(sample, r, parse_k(cfg.k), epsilon=cfg.epsilon,
-                                   b1=cfg.b1, seed=_replicate_seed(cfg.seed, rep, 1))
-            surface = fitted.surface(alpha, grid)
-            rho_star, _ = rho_hat_batch(fitted.context, theta_star[None, :])
-            x_hat_star = quantile_point(fitted.fit, float(rho_star[0]), theta_star, alpha)
-            x_tilde_star = asymptotic_quantile(params, r, alpha, theta_star,
-                                               n / fitted.fit.k)
-        except (DataError, NumericalError) as exc:
-            return {"error": f"{type(exc).__name__}: {exc}"}
-        return {
-            "k_hat": surface.k,
-            "gamma_ratio": surface.fit.gamma_marginal / params.gamma,
-            "rho_hat": surface.rho,
-            "floored": surface.floored,
-            "x_original": surface.x_original,
-            "re": relative_error(x_tilde_star, x_hat_star),
-        }
-
-    outcomes = [one(rep) for rep in range(cfg.replicates)]
-    results = {i: res for i, res in enumerate(outcomes) if "error" not in res}
-    failures = [{"replicate": i, "error": res["error"]}
-                for i, res in enumerate(outcomes) if "error" in res]
-    if not results:
-        raise DataError(
-            f"all {cfg.replicates} replicates failed; first failure: "
-            f"{failures[0]['error']}"
-        )
-
-    d = params.d
+def write_study(prefix: str, result: StudyResult) -> None:
+    """Write a study as ``<prefix>.replicates.csv``, ``.rho.csv``,
+    ``.bands.csv`` and ``.summary.json``."""
+    grid, d = result.grid, result.grid.d
+    index = result.index.tolist()
     replicates_csv = _csv_text(
         ["replicate", "k_hat", *(f"gamma_ratio_{j + 1}" for j in range(d)), "re"],
         ["%d", "%s"] + [_CELL] * (d + 1),
-        ((i, res["k_hat"], *res["gamma_ratio"].tolist(), res["re"])
-         for i, res in results.items()),
+        zip(index, result.k_hat.tolist(), *result.gamma_ratio.T.tolist(),
+            result.re.tolist()),
     )
 
     n_angles = grid.angles.shape[1]
-    angles, theory = grid.angles.T.tolist(), rho_theory.tolist()
+    angles, theory = grid.angles.T.tolist(), result.rho_theory.tolist()
     rho_csv = _csv_text(
         ["replicate", *(f"phi_{j + 1}" for j in range(n_angles)),
          "rho_hat", "rho_theory", "floored"],
         ["%d"] + [_CELL] * (n_angles + 2) + ["%s"],
-        (row for i, res in results.items()
-         for row in zip(repeat(i), *angles, res["rho_hat"].tolist(), theory,
-                        map(_LITERALS.__getitem__, res["floored"].tolist()))),
+        (row for i, rho, floored in zip(index, result.rho_hat.tolist(),
+                                        result.floored.tolist())
+         for row in zip(repeat(i), *angles, rho, theory,
+                        map(_LITERALS.__getitem__, floored))),
     )
 
-    results = list(results.values())
-    stack = np.stack([res["x_original"] for res in results])
-    bands = np.percentile(stack, [15.0, 50.0, 85.0], axis=0)
-    t_med = float(np.median([n / res["k_hat"] for res in results]))
-    # theoretical surface at the median anchor
-    oracle_pts = asymptotic_quantile(params, r, alpha, grid.thetas, t_med) @ r.entries
+    bands = np.percentile(result.x_original, [15.0, 50.0, 85.0], axis=0)
     band_header = [f"theta_{j + 1}" for j in range(d)]
     for j in range(d):
         band_header += [f"x{j + 1}_p15", f"x{j + 1}_p50", f"x{j + 1}_p85",
                         f"x{j + 1}_oracle"]
     # per coordinate j: its three percentiles, then its oracle value
-    per_coord = np.stack([*bands, oracle_pts], axis=-1).reshape(len(grid), 4 * d)
+    per_coord = np.stack([*bands, result.oracle_points], axis=-1).reshape(len(grid), 4 * d)
     table = np.concatenate([grid.thetas, per_coord], axis=1)
     bands_csv = _csv_text(band_header, [_CELL] * (5 * d), zip(*table.T.tolist()))
 
     summary = {
-        "n": n,
-        "alpha": float(alpha),
-        "direction": [float(c) for c in u.components],
-        "replicates": int(cfg.replicates),
-        "valid_replicates": len(results),
-        "failed_replicates": failures,
-        "seed": int(cfg.seed),
-        "k_hat_median": float(np.median([res["k_hat"] for res in results])),
-        "gamma_ratio_median": [
-            float(np.median([res["gamma_ratio"][j] for res in results]))
-            for j in range(d)
-        ],
-        "re_median": float(np.median([res["re"] for res in results])),
-        "oracle_anchor_t": t_med,
+        "n": int(result.n),
+        "alpha": float(result.alpha),
+        "direction": [float(c) for c in result.u.components],
+        "replicates": int(result.replicates),
+        "valid_replicates": len(index),
+        "failed_replicates": [{"replicate": i, "error": error}
+                              for i, error in result.failures],
+        "seed": int(result.seed),
+        "k_hat_median": float(np.median(result.k_hat)),
+        "gamma_ratio_median": np.median(result.gamma_ratio, axis=0).tolist(),
+        "re_median": float(np.median(result.re)),
+        "oracle_anchor_t": result.oracle_anchor_t,
     }
-    return {
-        ".replicates.csv": replicates_csv,
-        ".rho.csv": rho_csv,
-        ".bands.csv": bands_csv,
-        ".summary.json": _json_text(summary),
-    }
+    # every text is built before the first file is written
+    texts = {".replicates.csv": replicates_csv, ".rho.csv": rho_csv,
+             ".bands.csv": bands_csv, ".summary.json": _json_text(summary)}
+    for suffix, text in texts.items():
+        _write_text(prefix + suffix, text)
 
 
 def cmd_mc_study(cfg: RunConfig) -> int:
-    payloads = run_mc_study(cfg)
-    prefix = cfg.output or "mc_study"
-    for suffix, text in payloads.items():
-        _write_text(prefix + suffix, text)
+    params = _parse_model(cfg)
+    if cfg.n < 1:
+        raise ValueError(f"mc-study needs --n >= 1, got {cfg.n}")
+    if cfg.replicates < 1:
+        raise ValueError(f"mc-study needs --replicates >= 1, got {cfg.replicates}")
+    alpha = parse_alpha(cfg.alpha) if cfg.alpha is not None else 1.0 / cfg.n
+    u = parse_direction(cfg.direction, params.d, model_sigma=params.sigma)
+    grid = theta_grid(params.d, cfg.grid, cfg.delta)
+    result = run_study(params, cfg.n, cfg.replicates, u, alpha, grid, parse_k(cfg.k),
+                       epsilon=cfg.epsilon, b1=cfg.b1, seed=cfg.seed)
+    write_study(cfg.output or "mc_study", result)
     return 0
 
 

@@ -19,7 +19,7 @@ from dirquant import (
     flag_outliers,
     sample_t,
 )
-from dirquant import cli, geometry, quantile, tmodel
+from dirquant import cli, geometry, quantile, study, tmodel
 from dirquant.cli import (
     main,
     parse_alpha,
@@ -334,7 +334,7 @@ class TestCommands:
             calls.append(u)
             return real(u)
 
-        for module in (cli, tmodel, quantile):
+        for module in (cli, study, tmodel, quantile):
             monkeypatch.setattr(module, "rotation_for", counted)
         model = ["--mu", MU2, "--sigma", SIG2, "--nu", "3", "--direction", "fpc"]
         assert main([*command, *model, "--output", str(tmp_path / "out")]) == 0
@@ -386,7 +386,7 @@ class TestCommands:
         assert len(rep) == 1 + summary["valid_replicates"]
 
     def test_mc_study_records_numerical_failure(self, tmp_path, monkeypatch):
-        real = cli.asymptotic_quantile
+        real = study.asymptotic_quantile
         calls = []
 
         def fail_first(*args, **kwargs):
@@ -395,7 +395,7 @@ class TestCommands:
                 raise InversionError("bisection did not converge")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "asymptotic_quantile", fail_first)
+        monkeypatch.setattr(study, "asymptotic_quantile", fail_first)
         prefix = tmp_path / "mc"
         assert main(["mc-study", "--mu", MU2, "--sigma", SIG2, "--nu", "3",
                      "--n", "2000", "--replicates", "3", "--k", "100",
@@ -405,6 +405,32 @@ class TestCommands:
             {"replicate": 0, "error": "InversionError: bisection did not converge"}
         ]
         assert summary["valid_replicates"] == 2
+
+    def test_mc_study_all_replicates_failed(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise InversionError("bisection did not converge")
+
+        monkeypatch.setattr(study, "asymptotic_quantile", fail)
+        assert main(["mc-study", "--mu", MU2, "--sigma", SIG2, "--nu", "3",
+                     "--n", "2000", "--replicates", "3", "--k", "100",
+                     "--grid", "4", "--seed", "41",
+                     "--output", str(tmp_path / "mc")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "DataError",
+                       "message": "all 3 replicates failed; first failure: "
+                                  "InversionError: bisection did not converge"}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_study_rows_match_run_study(self, tmp_path):
+        params = tmodel.TParams(np.zeros(2), np.array([[5.0, 0.1], [0.1, 1.0]]), 3.0)
+        result = study.run_study(params, 2000, 3, diagonal_direction(2), 1 / 2000,
+                                 quantile.theta_grid(2, 4, 0.01), "auto", b1=40, seed=42)
+        cli.write_study(str(tmp_path / "mc"), result)
+        rows = (tmp_path / "mc.replicates.csv").read_text().splitlines()[1:]
+        cells = [row.split(",") for row in rows]
+        assert [int(c[0]) for c in cells] == result.index.tolist()
+        assert [int(c[1]) for c in cells] == result.k_hat.tolist()
+        assert [i for i, _ in result.failures] == [1]
 
     def test_config_file_with_flag_override(self, data_csv, tmp_path):
         cfgfile = tmp_path / "run.cfg"
