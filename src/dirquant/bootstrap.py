@@ -536,7 +536,7 @@ def select_k(
         factor = (1.0 - 1.0 / pis[j]) ** (1.0 / (2.0 * pis[j] - 1.0))
         if not np.isfinite(factor):
             warnings.warn(
-                f"marginal {j}: non-finite correction factor; using 1",
+                f"marginal {j + 1}: non-finite correction factor; using 1",
                 NonFiniteCorrectionWarning,
                 stacklevel=2,
             )

@@ -70,12 +70,13 @@ def frechet_weights(x, a, b, gamma):
 
 
 def _require_heavy_tails(gamma: np.ndarray) -> None:
-    """Raise HeavyTailError naming the first marginal whose tail index is
-    not positive; ``extrapolate`` and its inverse need them all positive."""
+    """Raise HeavyTailError naming (from 1) the first marginal whose tail
+    index is not positive; ``extrapolate`` and its inverse need them all
+    positive."""
     if (gamma <= 0).any():
         j = int(np.argmax(gamma <= 0))
         raise HeavyTailError(
-            f"marginal {j} has tail index {float(gamma[j])!r} <= 0; heavy-tail "
+            f"marginal {j + 1} has tail index {float(gamma[j])!r} <= 0; heavy-tail "
             "extrapolation requires positive indexes"
         )
 
@@ -198,7 +199,7 @@ def fit_tails(rotated_sample, k: int) -> TailFit:
             gammas[j] = gamma_moment(s, k)
             a[j], b[j] = norm_sequences(s, k, gammas[j])
         except (PositivityError, DegenerateMomentsError) as exc:
-            raise type(exc)(f"marginal {j}: {exc}") from exc
+            raise type(exc)(f"marginal {j + 1}: {exc}") from exc
     spread = gammas.max() - gammas.min()
     mean_g = gammas.mean()
     if d >= 2 and spread > 0.5 * mean_g:

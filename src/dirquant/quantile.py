@@ -237,7 +237,7 @@ def fit_direction(sample, u: Direction | RotationMatrix, k="auto", *,
     if bad.size:
         med = np.median(rotated, axis=0)
         raise PositivityError(
-            f"rotated marginals {bad.tolist()} have non-positive upper order "
+            f"rotated marginals {(bad + 1).tolist()} have non-positive upper order "
             f"statistics at k={k}; recenter the data first (for instance subtract "
             f"the componentwise median {np.round(med, 6).tolist()})"
         )

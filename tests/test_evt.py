@@ -154,7 +154,7 @@ class TestFitTails:
 
     def test_error_names_marginal(self):
         x = np.column_stack([np.linspace(1, 5, 100), np.linspace(-2, -1, 100)])
-        with pytest.raises(PositivityError, match="marginal 1"):
+        with pytest.raises(PositivityError, match="marginal 2: "):
             fit_tails(x, 10)
 
     def test_disparity_warning(self):

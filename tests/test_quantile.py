@@ -110,7 +110,7 @@ class TestQuantilePoint:
                       a=np.array([1.0]), b=np.array([2.0]), n=1000)
         with pytest.raises(HeavyTailError) as exc:
             quantile_point(fit, 1.0, np.array([1.0]), 0.001)
-        assert "marginal 0 has tail index -0.5 <= 0" in str(exc.value)
+        assert "marginal 1 has tail index -0.5 <= 0" in str(exc.value)
         assert "np.float64" not in str(exc.value)
 
     def test_tail_levels_name_the_nonpositive_marginal(self):
@@ -122,7 +122,7 @@ class TestQuantilePoint:
         ctx = StdfContext(np.full((1000, 2), 3.0), good)
         with pytest.raises(HeavyTailError) as exc:
             tail_levels(ctx, [[3.0, 3.0]], diagonal_direction(2), bad)
-        assert "marginal 1 has tail index -0.25 <= 0" in str(exc.value)
+        assert "marginal 2 has tail index -0.25 <= 0" in str(exc.value)
         assert "np.float64" not in str(exc.value)
 
     def test_alpha_domain(self):
@@ -211,7 +211,7 @@ class TestEstimateSurface:
     def test_positivity_violation_suggests_centering(self):
         rng = np.random.default_rng(10)
         data = rng.standard_normal((500, 2))
-        with pytest.raises(PositivityError, match="median"):
+        with pytest.raises(PositivityError, match=r"rotated marginals \[1, 2\] .*median"):
             estimate_surface(data, diagonal_direction(2), 1e-3,
                              theta_grid(2, 4, 0.05), k=400)
 

@@ -118,7 +118,7 @@ class TestRhoHat:
         ctx = make_ctx(sample, 5, [1.0, 1.0], [1.0, 1.0], gamma=[0.5, -0.2])
         with pytest.raises(HeavyTailError) as exc:
             rho_hat(ctx, np.array([np.sqrt(0.5), np.sqrt(0.5)]))
-        assert "marginal 1 has tail index -0.2 <= 0" in str(exc.value)
+        assert "marginal 2 has tail index -0.2 <= 0" in str(exc.value)
         assert "np.float64" not in str(exc.value)
 
     def test_row_permutation_invariance(self):
