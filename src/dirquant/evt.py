@@ -70,9 +70,8 @@ def frechet_weights(x, a, b, gamma):
 
 
 def _require_heavy_tails(gamma: np.ndarray) -> None:
-    """Raise HeavyTailError naming (from 1) the first marginal whose tail
-    index is not positive; ``extrapolate`` and its inverse need them all
-    positive."""
+    """Raise HeavyTailError naming the first marginal (from 1) whose tail index
+    is not positive; ``extrapolate`` and its inverse need them all positive."""
     if (gamma <= 0).any():
         j = int(np.argmax(gamma <= 0))
         raise HeavyTailError(
@@ -100,7 +99,7 @@ def log_moment(sorted_values, k: int, r: int) -> float:
     threshold = s[n - 1 - k]
     if threshold <= 0:
         raise PositivityError(
-            f"order statistic X_(n-k) = {threshold!r} is not positive; recenter data"
+            f"order statistic X_(n-k) = {float(threshold)!r} is not positive; recenter data"
         )
     spacings = np.log(s[n - k:][::-1]) - np.log(threshold)
     return float(np.mean(spacings**r))

@@ -40,6 +40,12 @@ class TestLogMoment:
         with pytest.raises(PositivityError, match="recenter"):
             log_moment([-1.0, 2.0, 4.0], 2, 1)
 
+    def test_nonpositive_threshold_message_is_a_plain_float(self):
+        # a numpy scalar's repr would read "np.float64(-0.5)" under numpy 2
+        with pytest.raises(PositivityError) as exc:
+            log_moment(np.array([-1.0, -0.5, 1.0, 2.0, 3.0]), 3, 1)
+        assert "X_(n-k) = -0.5 is not positive" in str(exc.value)
+
     def test_k_bounds(self):
         with pytest.raises(ValueError):
             log_moment([1.0, 2.0], 2, 1)
