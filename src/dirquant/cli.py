@@ -10,9 +10,8 @@ simulate-t  draw a multivariate t sample to CSV
 oracle-t    theoretical surface of a t model (same schema as estimate)
 mc-study    replicated simulation study with summary tables
 
-Each command parses its options, calls the library and writes the
-result. ``mc-study`` runs ``study.run_study`` and writes its arrays
-through ``write_study``, the one writer of its four files.
+Each command parses its options, calls the library and writes the result;
+``write_study`` writes ``study.run_study``'s arrays as mc-study's four files.
 
 Exit codes: 0 success, 2 usage error, 3 data/assumption error,
 4 numerical failure.
@@ -683,7 +682,7 @@ def write_study(prefix: str, result: StudyResult) -> None:
         "n": int(result.n),
         "alpha": float(result.alpha),
         "direction": [float(c) for c in result.u.components],
-        "replicates": int(result.replicates),
+        "replicates": len(index) + len(result.failures),
         "valid_replicates": len(index),
         "failed_replicates": [{"replicate": i, "error": error}
                               for i, error in result.failures],

@@ -29,9 +29,8 @@ class StudyResult:
     alpha: float
     u: Direction
     grid: ThetaGrid
-    replicates: int
     seed: int
-    index: np.ndarray       # (v,) replicate numbers
+    index: np.ndarray       # (v,) replicate numbers; the others failed
     k_hat: np.ndarray       # (v,)
     gamma_ratio: np.ndarray  # (v, d) marginal tail index over the model's
     rho_hat: np.ndarray     # (v, g)
@@ -65,6 +64,8 @@ def run_study(params: TParams, n: int, replicates: int, u: Direction, alpha: flo
     numerics fail, is listed in ``failures`` instead of aborting the study;
     DataError if every replicate fails.
     """
+    if replicates < 1:
+        raise ValueError(f"replicates must be at least 1, got {replicates}")
     r = rotation_for(u)
     theta_star = np.ones(params.d) / np.sqrt(params.d)
 
@@ -94,7 +95,7 @@ def run_study(params: TParams, n: int, replicates: int, u: Direction, alpha: flo
     k_hat, gamma_ratio, rho_hat, floored, x_original, re = map(np.array, zip(*rows))
     t_med = float(np.median(n / k_hat))
     return StudyResult(
-        n=n, alpha=alpha, u=u, grid=grid, replicates=replicates, seed=seed,
+        n=n, alpha=alpha, u=u, grid=grid, seed=seed,
         index=np.array(index), k_hat=k_hat, gamma_ratio=gamma_ratio, rho_hat=rho_hat,
         floored=floored, x_original=x_original, re=re, failures=failures,
         rho_theory=theoretical_rho(grid.thetas, params, r),

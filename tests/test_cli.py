@@ -423,8 +423,10 @@ class TestCommands:
 
     def test_write_study_rows_match_run_study(self, tmp_path):
         params = tmodel.TParams(np.zeros(2), np.array([[5.0, 0.1], [0.1, 1.0]]), 3.0)
-        result = study.run_study(params, 2000, 3, diagonal_direction(2), 1 / 2000,
-                                 quantile.theta_grid(2, 4, 0.01), "auto", b1=40, seed=42)
+        args = (diagonal_direction(2), 1 / 2000, quantile.theta_grid(2, 4, 0.01), "auto")
+        result = study.run_study(params, 2000, 3, *args, b1=40, seed=42)
+        with pytest.raises(ValueError, match="replicates must be at least 1, got 0"):
+            study.run_study(params, 2000, 0, *args)
         cli.write_study(str(tmp_path / "mc"), result)
         rows = (tmp_path / "mc.replicates.csv").read_text().splitlines()[1:]
         cells = [row.split(",") for row in rows]
