@@ -37,8 +37,7 @@ MODELS = {
 }
 
 if __name__ == "__main__":
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("model", choices=MODELS)
     ap.add_argument("--sizes", type=int, nargs="+", help="sample sizes n")
     ap.add_argument("--replicates", type=int)

@@ -23,7 +23,7 @@ from dirquant import (
     select_k,
 )
 from dirquant import bootstrap
-from dirquant.errors import SmallSampleWarning
+from dirquant.errors import NonFiniteCorrectionWarning, SmallSampleWarning
 
 from oracles import bootstrap_error, orthant_leq
 
@@ -530,6 +530,18 @@ class TestSelectK:
         assert sel.m1 == 105
         assert sel.m2 == 22
         assert not sel.fallback
+        assert 2 <= sel.k_hat <= 499
+
+    def test_non_finite_correction_factor_names_its_marginal(self, monkeypatch):
+        # rate 0.9 for the second marginal only: (1 - 1/0.9) ** 1.25 is nan
+        rates = iter([2.0, 0.9])
+        monkeypatch.setattr(bootstrap, "convergence_rate", lambda k, m1: next(rates))
+        sample = pareto_sample(np.random.default_rng(31), 500, 2)
+        with pytest.warns(NonFiniteCorrectionWarning) as record:
+            sel = select_k(sample, epsilon=0.25, b1=20, seed=0)
+        messages = [str(w.message) for w in record
+                    if w.category is NonFiniteCorrectionWarning]
+        assert messages == ["marginal 2: non-finite correction factor; using 1"]
         assert 2 <= sel.k_hat <= 499
 
     def test_one_dimensional_sample_is_one_marginal(self):
