@@ -16,7 +16,14 @@ import numpy as np
 
 from .bootstrap import KSelection, select_k
 from .errors import DataError, PositivityError, _require_finite
-from .evt import TailFit, _require_heavy_tails, extrapolate, fit_tails, frechet_weights
+from .evt import (
+    TailFit,
+    _check_k,
+    _require_heavy_tails,
+    extrapolate,
+    fit_tails,
+    frechet_weights,
+)
 from .geometry import Direction, RotationMatrix, rotate, rotation_for
 from .stdf import StdfContext, rho_hat_batch
 
@@ -233,7 +240,8 @@ def fit_direction(sample, u: Direction | RotationMatrix, k="auto", *,
         selection = select_k(rotated, epsilon=epsilon, b1=b1, seed=seed)
         k = selection.k_hat
     k = int(k)
-    bad = np.flatnonzero(np.sort(rotated, axis=0)[n - 1 - k, :] <= 0)
+    _check_k(n, k)
+    bad = np.flatnonzero(np.partition(rotated, n - 1 - k, axis=0)[n - 1 - k] <= 0)
     if bad.size:
         med = np.median(rotated, axis=0)
         raise PositivityError(
@@ -294,12 +302,16 @@ def tail_levels(
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     _require_finite(zs, "point coordinate")
     r = rotation_for(u) if not isinstance(u, RotationMatrix) else u
-    zr = rotate(r, zs)
+    return _rotated_tail_levels(ctx, rotate(r, zs), fit)
+
+
+def _rotated_tail_levels(ctx: StdfContext, zr: np.ndarray, fit: TailFit) -> np.ndarray:
+    """``tail_levels`` of finite points already in rotated coordinates."""
     gam = fit.gamma_marginal
     _require_heavy_tails(gam)
     w = frechet_weights(zr, fit.a, fit.b, gam)
     norms = np.linalg.norm(w, axis=1)
-    out = np.full(zs.shape[0], np.inf)
+    out = np.full(zr.shape[0], np.inf)
     inside = norms > 0
     if inside.any():
         thetas = w[inside] / norms[inside, None]
@@ -339,6 +351,7 @@ def flag_outliers(
     """
     fitted = fit_direction(sample, u, k, epsilon=epsilon, b1=b1, seed=seed)
     fit = fitted.fit
-    alpha_z = fitted.levels(sample)
+    # the sample was checked finite and rotated by fit_direction
+    alpha_z = _rotated_tail_levels(fitted.context, fitted.context.rotated_sample, fit)
     flagged = (alpha_z < alpha) & (alpha_z <= fit.k / fit.n)
     return OutlierFlags(alpha, alpha_z, flagged, fit, fitted.k_selection)

@@ -297,6 +297,14 @@ class TestFitDirection:
         what = "point coordinate" if entry == "levels" else "sample cell"
         assert str(info.value) == f"non-finite {what} at row 3, column 2: {bad!r}"
 
+    @pytest.mark.parametrize("k", [0, -3, "n", "2n"])
+    def test_k_outside_range_rejected(self, k, sample_2d):
+        # the range check comes before the order statistic is read
+        n = sample_2d.shape[0]
+        k = {"n": n, "2n": 2 * n}.get(k, k)
+        with pytest.raises(ValueError, match=rf"k={k} outside \[1, n-1\] for n={n}"):
+            quantile.fit_direction(sample_2d, diagonal_direction(2), k=k)
+
     def test_flag_shares_estimate_input_checks(self, sample_2d):
         from dirquant import DataError
 
@@ -392,6 +400,15 @@ class TestFlagOutliers:
         ctx = StdfContext(rotate(rotation_for(diagonal_direction(2)), sample_2d), res.fit)
         assert np.array_equal(res.alpha_z,
                               tail_levels(ctx, sample_2d, diagonal_direction(2)))
+
+    def test_sample_checked_and_rotated_once(self, sample_2d, monkeypatch):
+        calls = []
+        for name in ("rotate", "_require_finite"):
+            real = getattr(quantile, name)
+            monkeypatch.setattr(quantile, name, lambda *a, real=real, name=name:
+                                calls.append(name) or real(*a))
+        flag_outliers(sample_2d, diagonal_direction(2), 0.01, k=200)
+        assert sorted(calls) == ["_require_finite", "rotate"]
 
     def test_alpha_one_never_flags_interior_rows(self, sample_2d):
         res = flag_outliers(sample_2d, diagonal_direction(2), 1.0 - 1e-12, k=200)

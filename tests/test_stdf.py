@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,9 +166,31 @@ class TestUnionExceedanceCounts:
 # values check strict comparison against infinities and that nan is never
 # exceeded (nor exceeds).
 _CELL = st.sampled_from([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, np.inf, -np.inf, np.nan])
-# row counts around the powers of two that bound the merge-sort tree levels
-_ROWS = st.one_of(st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33]),
-                  st.integers(0, 80))
+# row counts around the squares (2s)^2 at which the 2-D kernel's block
+# size steps from s - 1 to s, and a few multiples of the block size
+_ROWS = st.one_of(st.sampled_from([0, 1, 2, 3, 4, 5, 15, 16, 17, 35, 36, 37, 63, 64, 65,
+                                   99, 100, 101, 20, 42, 48]),
+                  st.integers(0, 110))
+
+
+def sorted_counts(sample, thresholds):
+    """Union counts from the sorted kernel of the sample's dimension."""
+    n, d = sample.shape
+    if d == 1:
+        return n - stdf._count_at_or_below(sample[:, 0], thresholds[:, 0])[1]
+    return n - stdf._dominated_2d(sample, thresholds)
+
+
+def tied_special_draw(rng, n, q):
+    """A 2-D sample and thresholds with heavy ties, +-inf and nan on both
+    sides, and every seventh threshold equal to a sample row."""
+    sample = np.round(rng.standard_normal((n, 2)) * 4.0) / 4.0
+    thresholds = np.round(rng.standard_normal((q, 2)) * 4.0) / 4.0
+    for a in (sample, thresholds):
+        special = rng.random(a.shape) < 0.05
+        a[special] = rng.choice([np.nan, np.inf, -np.inf], special.sum())
+    thresholds[::7] = sample[rng.integers(0, n, thresholds[::7].shape[0])]
+    return sample, thresholds
 
 
 class TestSortedCounting:
@@ -176,19 +200,49 @@ class TestSortedCounting:
         sample = np.array(data.draw(st.lists(_CELL, min_size=n * d, max_size=n * d)))
         thresholds = np.array(data.draw(st.lists(_CELL, min_size=q * d, max_size=q * d)))
         sample, thresholds = sample.reshape(n, d), thresholds.reshape(q, d)
-        counts = stdf._exceedances_by_sorting(sample, thresholds)
+        counts = sorted_counts(sample, thresholds)
         assert counts.dtype == np.int64
         assert counts.tolist() == [counting_oracle(sample, t) for t in thresholds]
 
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_forced_block_sizes_match_comparison(self, block, monkeypatch):
+        # strips of up to 63 rows, and chunks of 3 queries, the last partial
+        monkeypatch.setattr(stdf, "_block_size", lambda n: block)
+        monkeypatch.setattr(stdf, "_STRIP_CELLS", 3 * block)
+        rng = np.random.default_rng(block)
+        for n, q in [(1, 5), (block, 40), (block + 1, 40), (3 * block - 1, 100), (700, 301)]:
+            sample, thresholds = tied_special_draw(rng, n, q)
+            got = sorted_counts(sample, thresholds)
+            assert np.array_equal(got, stdf._exceedances_by_comparison(sample, thresholds))
+
+    def test_peak_memory_is_linear_in_rows(self):
+        # n = 1e5 rows and 0.78 n queries, the flag shape. The kernel traced
+        # 62 bytes per row at its peak with numpy 2.4, 32 of them the block
+        # table's int64 counts.
+        rng = np.random.default_rng(3)
+        n = 100_000
+        sample = rng.standard_t(3, (n, 2))
+        thresholds = rng.standard_t(3, (int(0.78 * n), 2))
+        tracemalloc.start()
+        try:
+            stdf._dominated_2d(sample, thresholds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80 * n
+
     @pytest.mark.parametrize("d, n, q, sorted_path", [
         (1, 300, 15, False), (1, 300, 16, True),
-        (2, 511, 1024, False), (2, 512, 1023, False), (2, 512, 1024, True),
-        (2, 3000, 4000, True), (3, 600, 2000, False),
+        (2, 511, 1024, False), (2, 512, 127, False), (2, 512, 128, True),
+        (2, 512, 1024, True), (2, 3000, 4000, True), (3, 600, 2000, False),
+        # estimate-auto's 64 grid angles over 5000 rows, and flag-large's
+        # about 7800 rows in the extremal region over 10 000
+        (2, 5000, 64, False), (2, 10_000, 7800, True),
     ])
     def test_chosen_path_matches_comparison(self, d, n, q, sorted_path, monkeypatch):
         calls = []
-        real = stdf._exceedances_by_sorting
-        monkeypatch.setattr(stdf, "_exceedances_by_sorting",
+        real = stdf._exceedances_by_comparison
+        monkeypatch.setattr(stdf, "_exceedances_by_comparison",
                             lambda s, t: calls.append(1) or real(s, t))
         rng = np.random.default_rng(n + q + d)
         for sample, thresholds in [
@@ -198,7 +252,7 @@ class TestSortedCounting:
         ]:
             thresholds[::7] = sample[rng.integers(0, n, thresholds[::7].shape[0])]
             got = stdf.union_exceedance_counts(sample, thresholds)
-            want = stdf._exceedances_by_comparison(sample, thresholds)
+            want = real(sample, thresholds)
             assert got.dtype == np.int64
             assert np.array_equal(got, want)
-        assert len(calls) == (2 if sorted_path else 0)
+        assert len(calls) == (0 if sorted_path else 2)
