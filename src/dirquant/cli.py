@@ -73,7 +73,7 @@ def parse_csv(path: str, has_header: bool = False) -> np.ndarray:
         lines = lines[1:]
     if not lines:
         raise DataError(f"{path}: no data rows")
-    data = _parse_cells(lines)
+    data = _parse_cells(text, lines)
     if data is None:
         data = _parse_rows(path, lines)
     finite = np.isfinite(data)
@@ -86,20 +86,29 @@ def parse_csv(path: str, has_header: bool = False) -> np.ndarray:
     return data
 
 
-def _parse_cells(lines: list[str]) -> Optional[np.ndarray]:
-    """All cells in one conversion, or None on a ragged row or a bad cell.
+# ASCII file, group, record and unit separators: loadtxt strips them around
+# a cell as whitespace, but float rejects a cell that holds one
+_SEPARATORS_FLOAT_REJECTS = "\x1c\x1d\x1e\x1f"
 
-    numpy converts each str cell with Python's ``float``, so this accepts
-    exactly what ``_parse_rows`` accepts; on None the caller reruns that
-    loop for its error message.
+
+def _parse_cells(text: str, lines: list[str]) -> Optional[np.ndarray]:
+    """All cells in one pass of numpy's C tokenizer, or None.
+
+    ``loadtxt`` converts each cell with ``PyOS_string_to_double``, the
+    routine Python's ``float`` uses, so every value it returns is
+    ``float``'s. On None the caller reads the lines with ``_parse_rows``,
+    which gives ``float``'s values or names the first bad row or cell.
+    None follows any ``ValueError`` (a ragged row, a bad cell, or a cell
+    such as ``1_000`` or ``١٢`` that ``float`` accepts and the tokenizer
+    declines), and comes untried when ``text`` holds a separator that
+    the two read differently.
     """
-    if len(set(map(str.count, lines, repeat(",")))) != 1:
+    if any(map(text.__contains__, _SEPARATORS_FLOAT_REJECTS)):
         return None
     try:
-        cells = np.array(",".join(lines).split(","), dtype=float)
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
     except ValueError:
         return None
-    return cells.reshape(len(lines), -1)
 
 
 def _parse_rows(path: str, lines: list[str]) -> np.ndarray:

@@ -188,12 +188,14 @@ def fit_tails(rotated_sample, k: int) -> TailFit:
     _check_k(n, k)
     if k < 2:
         raise ValueError(f"k={k} too small: the moment estimator needs k >= 2")
-    sorted_marginals = np.sort(sample.T, axis=1, kind="stable")
+    # the estimators read only the top k + 1 order statistics, ascending
+    top = np.partition(sample.T, n - k - 1, axis=1)[:, n - k - 1:]
+    top.sort(axis=1)
     gammas = np.empty(d)
     a = np.empty(d)
     b = np.empty(d)
     for j in range(d):
-        s = sorted_marginals[j]
+        s = top[j]
         try:
             gammas[j] = gamma_moment(s, k)
             a[j], b[j] = norm_sequences(s, k, gammas[j])

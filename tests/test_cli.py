@@ -105,15 +105,25 @@ class TestParsers:
         with pytest.raises(DataError, match="non-finite cell at row 2, column 2: 'inf'"):
             parse_csv(str(p), has_header=True)
 
-    def test_parse_csv_accepts_what_float_accepts(self, tmp_path, monkeypatch):
+    def test_parse_csv_one_pass_reads_benchmark_style_file(self, tmp_path, monkeypatch):
         p = tmp_path / "t.csv"
         p.write_bytes(b"# comment\r\nx1,x2\r\n\r\n 1 , +1\r\n  \r\n# 9,9\r\n"
-                      b"1e5,1_000\r\n-2.5e-3,.5\r\n")
-        # the one-pass conversion reads this file without the row loop
+                      b"1e5,1000\r\n-2.5e-3,.5\r\n"
+                      b"0.10000000000000001,-1.2345678901234567e-05\r\n")
+        # the tokenizer reads this file without the row loop
         monkeypatch.setattr(cli, "_parse_rows", None)
         got = parse_csv(str(p), has_header=True)
         assert got.dtype == np.float64
-        assert np.array_equal(got, [[1.0, 1.0], [1e5, 1000.0], [-2.5e-3, 0.5]])
+        assert got.tobytes() == np.array([[1.0, 1.0], [1e5, 1000.0], [-2.5e-3, 0.5],
+                                          [0.1, -1.2345678901234567e-05]]).tobytes()
+
+    def test_parse_csv_accepts_what_float_accepts(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes("x1,x2\r\n 1 , +1\r\n1e5,1_000\r\n-2.5e-3,.5\r\n١٢,7\r\n"
+                      .encode("utf-8"))
+        got = parse_csv(str(p), has_header=True)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, [[1.0, 1.0], [1e5, 1000.0], [-2.5e-3, 0.5], [12.0, 7.0]])
 
     @pytest.mark.parametrize("text, message", [
         ("x1,x2\n1,2\n", "non-numeric cell at row 1, column 1: 'x1'"),

@@ -9,6 +9,7 @@ reading returns, or raise its message.
 import json
 import math
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -194,9 +195,10 @@ def parse_csv_by_cells(path: str, has_header: bool) -> np.ndarray:
 
 
 # unicode whitespace and line separators: lines split on "\n" only, after
-# newline translation, as iterating the file splits them
+# newline translation, as iterating the file splits them; float rejects a
+# cell holding an ASCII unit separator, which str.strip and loadtxt strip
 CELLS = [" 1.5 ", "1_0", "١٢", "infinity", "nan", "", "0x10", "+-1", "2", "-3.25e-2",
-         "7", "1e400", "\u20034\u2003", "5\u2028", "\x0c6", "8\x85"]
+         "7", "1e400", "\u20034\u2003", "5\u2028", "\x0c6", "8\x85", "\x1f9"]
 EXTRA_LINES = ["# comment", "  # indented, comment", "", "   ", "x1,x2"]
 
 
@@ -222,8 +224,14 @@ class TestCsvReader:
     @example(text="   \n1,2\n3,4\n", has_header=True)
     @example(text="#x1,x2\r\n 1 , 2 \r\n\r\n3,4", has_header=False)
     @example(text="1,2\n3,4,\n", has_header=False)
+    @example(text=",\n1,2", has_header=False)
+    @example(text='"1",2', has_header=False)
+    @example(text="1,\u20282\n3\x85,4", has_header=False)
+    @example(text="x1,x2\n", has_header=True)
+    @example(text="1,2\n3,\x1c4", has_header=False)
     def test_same_as_cell_by_cell(self, text, has_header):
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error")
             path = f"{tmp}/t.csv"
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)

@@ -158,6 +158,23 @@ class TestFitTails:
         assert np.array_equal(fit1.a, fit2.a)
         assert np.array_equal(fit1.b, fit2.b)
 
+    @pytest.mark.parametrize("kind", ["tied", "heavy", "random"])
+    @pytest.mark.parametrize("k", [3, 37, 299])
+    def test_same_as_full_sort(self, kind, k):
+        rng = np.random.default_rng(4)
+        x = {
+            "tied": np.round(rng.pareto(2.0, (300, 3)), 1) + 1.0,
+            "heavy": rng.pareto(0.4, (300, 3)) + 1.0,
+            "random": rng.standard_t(4, (300, 3)) + 50.0,
+        }[kind]
+        s = np.sort(x.T, axis=1)
+        gammas = [gamma_moment(row, k) for row in s]
+        a, b = zip(*(norm_sequences(row, k, g) for row, g in zip(s, gammas)))
+        fit = fit_tails(x, k)
+        assert fit.gamma_marginal.tobytes() == np.array(gammas).tobytes()
+        assert fit.a.tobytes() == np.array(a).tobytes()
+        assert fit.b.tobytes() == np.array(b).tobytes()
+
     def test_error_names_marginal(self):
         x = np.column_stack([np.linspace(1, 5, 100), np.linspace(-2, -1, 100)])
         with pytest.raises(PositivityError, match="marginal 2: "):
