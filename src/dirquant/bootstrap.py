@@ -17,12 +17,13 @@ holds at its size, so the smaller second stage runs in fewer, larger
 blocks; at n = 5000 and b1 = 1000, in one.
 
 The error curves need each resample's retained values in descending
-order and their logs, which depend only on the sample. So each stage
+order and their logs, which depend only on the sample. So a selection
 first builds a rank table: for every marginal, the place of each
 positive row in descending order of that marginal (rows not positive in
 every component take a sentinel place after all of them), and the log of
-the value at each place. A block then sorts the small integer places of
-its draws, cuts them to the widest resample and gathers their logs.
+the value at each place, as int32 unless there are 2^31 places. A block
+gathers the places of its draws once, reads positivity from them, sorts
+them, cuts them to the widest resample and gathers their logs.
 
 Resample i of stage s draws its rows as
 ``np.random.default_rng([seed, s, i]).integers(0, n, m)``, then its
@@ -121,8 +122,8 @@ class _Workspace:
 
     - buffer 0: the Lemire check, the ranks, mean1 and then M1;
     - buffer 1: the draws, the gathered logs, then 2 M1^2;
-    - buffer 2: the raw PCG64 outputs, the cut ranks, the M2 terms, the
-      invalid mask;
+    - buffer 2: the raw PCG64 outputs, the intp cut ranks, the M2 terms,
+      the invalid mask;
     - buffer 3: the low words of u*n, ``keep``, then the error block,
       whose rows 1, ..., B hold M2 and then the errors.
 
@@ -288,16 +289,16 @@ def _first_draws(n: int, m: int, seed: int, stage: int, indices,
 
 
 def _rank_table(sample: np.ndarray):
-    """Positive-orthant mask, ranks and logs of a finite (n, d) sample.
+    """Positive count, ranks and logs of a finite (n, d) sample.
 
-    Returns ``pos``, the (n,) mask of rows positive in every component;
+    Returns ``npos``, the number of rows positive in every component;
     ``rank`` (d, n), where ``rank[j, i]`` is the flat index into ``logs``
     of row i's value in marginal j; and ``logs`` (d, npos + 1), whose
     ``logs[j, r]`` is the log of the r-th largest value of marginal j
-    among the ``npos`` positive rows. Rows outside ``pos`` index the
-    sentinel slot r = npos, which holds a finite pad, so a sort of ranks
-    puts them after every positive row. Tied values take distinct
-    places, whose logs are equal.
+    among the positive rows. Other rows index the sentinel slot r = npos,
+    which holds a finite pad, so a sort of ranks puts them last, and
+    ``rank[0] < npos`` marks the positive rows. Tied values take distinct
+    places, whose logs are equal. Ranks are int32 if d (npos + 1) < 2^31.
     """
     n, d = sample.shape
     pos = (sample > 0).all(axis=1)
@@ -306,66 +307,69 @@ def _rank_table(sample: np.ndarray):
     order = np.argsort(positive, axis=1)
     logs = np.zeros((d, npos + 1))
     logs[:, :npos] = _descending_logs(np.take_along_axis(positive, order, axis=1))
-    place = np.empty((d, npos), dtype=np.intp)
+    dtype = np.int32 if d * (npos + 1) < 2**31 else np.intp
+    place = np.empty((d, npos), dtype=dtype)
     np.put_along_axis(place, order, np.arange(npos - 1, -1, -1), axis=1)
-    rank = np.full((d, n), npos, dtype=np.intp)
+    rank = np.full((d, n), npos, dtype=dtype)
     rank[:, pos] = place
-    rank += np.arange(d)[:, None] * (npos + 1)
-    return pos, rank, logs
+    rank += (np.arange(d) * (npos + 1)).astype(dtype)[:, None]
+    return npos, rank, logs
 
 
-def _draw_block(pos: np.ndarray, m: int, seed: int, stage: int, indices,
+def _draw_block(npos: int, rank: np.ndarray, m: int, seed: int, stage: int, indices,
                 words: Optional[np.ndarray], min_retained: int, ws: _Workspace):
     """Draw the resamples ``indices`` of one stage, each from its own stream,
     whose ``_stream_words`` are ``words``.
 
-    Returns the (B, m) drawn row indices and the (B, m) mask ``pos[draws]``
-    of rows positive in every component, both views into ``ws``. A
-    resample retaining fewer than ``min_retained`` rows is redrawn from its
-    stream, up to REDRAW_ATTEMPTS draws in all.
+    Returns the (B, m) drawn row indices and their (d, B, m) ranks in the
+    ``_rank_table`` ``npos, rank``, both views into ``ws``, and the (B,)
+    counts of rows positive in every component. A resample retaining fewer
+    than ``min_retained`` rows is redrawn from its stream, up to
+    REDRAW_ATTEMPTS draws in all.
     """
-    n = pos.size
+    d, n = rank.shape
     draws = _first_draws(n, m, seed, stage, indices, words, ws)
     # mode="clip" writes straight into ``out``; draws lie in [0, n) anyway
-    keep = np.take(pos, draws, out=ws.array(3, draws.shape, bool), mode="clip")
-    for i in np.flatnonzero(keep.sum(axis=1) < min_retained):
+    ranks = np.take(rank, draws, axis=1, out=ws.array(0, (d,) + draws.shape, rank.dtype),
+                    mode="clip")
+    keep = np.less(ranks[0], npos, out=ws.array(3, draws.shape, bool))
+    retained = keep.sum(axis=1)
+    for i in np.flatnonzero(retained < min_retained):
         rng = np.random.default_rng([seed, stage, indices[i]])
         rng.integers(0, n, m)  # the first draw, already in ``draws``
         for _ in range(REDRAW_ATTEMPTS - 1):
             draws[i] = rng.integers(0, n, m)
-            keep[i] = pos[draws[i]]
-            if keep[i].sum() >= min_retained:
+            ranks[:, i] = rank[:, draws[i]]
+            retained[i] = np.less(ranks[0, i], npos, out=keep[i]).sum()
+            if retained[i] >= min_retained:
                 break
         else:
             raise ResamplingError(
                 f"resamples of size {m} kept fewer than {min_retained} positive rows "
                 f"in {REDRAW_ATTEMPTS} attempts; too little mass in the positive orthant"
             )
-    return draws, keep
+    return draws, ranks, retained
 
 
-def _add_error_curves(sums: np.ndarray, counts: np.ndarray, rank: np.ndarray,
-                      logs: np.ndarray, draws: np.ndarray, keep: np.ndarray,
-                      ws: _Workspace) -> None:
+def _add_error_curves(sums: np.ndarray, counts: np.ndarray, logs: np.ndarray,
+                      ranks: np.ndarray, retained: np.ndarray, ws: _Workspace) -> None:
     """Add the error curves of a block of resamples onto the running sums.
 
-    ``rank`` and ``logs`` are the sample's ``_rank_table``; ``draws``
-    (B, w) holds B resamples' row indices and ``keep`` (B, w) marks their
-    retained rows. A resample retaining r rows contributes its error at
-    k = 2, ..., r-1 to ``sums[:, k]`` and ``counts[:, k]``. Every
-    temporary is a view into ``ws``, which may hold ``draws`` and ``keep``.
+    ``logs`` is the sample's ``_rank_table`` logs, and ``ranks`` (d, B, w)
+    and ``retained`` (B,) are a ``_draw_block``'s. A resample retaining r
+    rows contributes its error at k = 2, ..., r-1 to ``sums[:, k]`` and
+    ``counts[:, k]``. ``ranks`` is sorted in place; every temporary is a
+    view into ``ws``, which may hold ``ranks``.
     """
-    retained = keep.sum(axis=1)
     if retained.min() < 2:
         raise ValueError("need at least two observations")
     width = int(retained.max())
-    d, (b, w) = rank.shape[0], draws.shape
+    d, b, _ = ranks.shape
     # Ascending rank is descending value and the sentinel sorts last, so
     # each resample's first ``retained`` ranks are its retained rows in
     # order; columns right of the widest resample hold sentinels only.
-    ranks = np.take(rank, draws, axis=1, out=ws.array(0, (d, b, w), np.intp), mode="clip")
     ranks.sort(axis=-1)
-    # np.take copies indices that are not contiguous, so the cut is made here
+    # np.take copies indices that are not contiguous or not intp, so the cut is made here
     cut = ws.array(2, (d, b, width), np.intp)
     np.copyto(cut, ranks[..., :width])
     gathered = np.take(logs, cut, out=ws.array(1, (d, b, width), float), mode="clip")
@@ -440,18 +444,18 @@ def _stage_argmin(table, m: int, b: int, seed: int, stage: int, min_retained: in
     for the stage; each block seeds its own streams' PCG64s from them."""
     if b < 1:
         raise ValueError(f"need at least one resample, got b={b}")
-    pos, rank, logs = table
-    d = rank.shape[0]
+    npos, rank, logs = table
+    d, n = rank.shape
     sums = np.zeros((d, m + 2))
     counts = np.zeros((d, m + 2))
     block = min(b, ws.capacity // m - 1)
-    words = _stream_words(pos.size, m, seed, stage, range(b))
+    words = _stream_words(n, m, seed, stage, range(b))
     for start in range(0, b, block):
         stop = min(start + block, b)
-        draws, keep = _draw_block(pos, m, seed, stage, range(start, stop),
-                                  None if words is None else words[start:stop],
-                                  min_retained, ws)
-        _add_error_curves(sums, counts, rank, logs, draws, keep, ws)
+        _, ranks, retained = _draw_block(npos, rank, m, seed, stage, range(start, stop),
+                                         None if words is None else words[start:stop],
+                                         min_retained, ws)
+        _add_error_curves(sums, counts, logs, ranks, retained, ws)
     return _argmin_per_marginal(sums, counts, b)
 
 
@@ -466,10 +470,6 @@ def convergence_rate(k_j_m1: int, m1: int) -> float:
     if k_j_m1 == m1:
         raise ZeroDivisionError("k equal to m1 makes the rate undefined")
     return math.log(k_j_m1) / (2.0 * math.log(k_j_m1) - 2.0 * math.log(m1))
-
-
-def _positive_fraction(sample: np.ndarray) -> float:
-    return float((sample > 0).all(axis=1).mean())
 
 
 def select_k(
@@ -506,11 +506,14 @@ def select_k(
     if m2 < 10:
         raise ValueError(f"m2={m2} below 10; n={n} too small for epsilon={epsilon!r}")
 
+    # One rank table and one workspace, sized for stage 1, serve both stages.
+    table = _rank_table(sample)
+    ws = _Workspace(d, BLOCK, m1)
     # The default floor of 10 retained rows applies whenever resamples can
     # realistically reach it; demanding it when the expected retention is
     # lower would reject feasible inputs, so the floor degrades to the hard
     # minimum with a warning.
-    frac = _positive_fraction(sample)
+    frac = table[0] / n
     floors = []
     for m in (m1, m2):
         floor = DEFAULT_MIN_RETAINED
@@ -525,9 +528,6 @@ def select_k(
             )
         floors.append(floor)
 
-    # One rank table and one workspace, sized for stage 1, serve both stages.
-    table = _rank_table(sample)
-    ws = _Workspace(d, BLOCK, m1)
     k1 = _stage_argmin(table, m1, b1, seed, 1, floors[0], ws)
     k2 = _stage_argmin(table, m2, b1, seed, 2, floors[1], ws)
     pis = np.array([convergence_rate(int(k), m1) for k in k1])

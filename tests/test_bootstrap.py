@@ -47,7 +47,7 @@ def optimal_k_from_resamples(resamples) -> np.ndarray:
     d = resamples[0].shape[1]
     size = max(r.shape[0] for r in resamples) + 2
     sample = np.concatenate(resamples + [np.zeros((1, d))])
-    pos, rank, logs = bootstrap._rank_table(sample)
+    npos, rank, logs = bootstrap._rank_table(sample)
     draws = np.full((len(resamples), size), sample.shape[0] - 1)
     start = 0
     for i, rows in enumerate(resamples):
@@ -57,8 +57,9 @@ def optimal_k_from_resamples(resamples) -> np.ndarray:
     counts = np.zeros((d, size))
     ws = bootstrap._Workspace(d, bootstrap.BLOCK, size)
     for start in range(0, len(resamples), bootstrap.BLOCK):
-        block = draws[start:start + bootstrap.BLOCK]
-        bootstrap._add_error_curves(sums, counts, rank, logs, block, pos[block], ws)
+        ranks = np.take(rank, draws[start:start + bootstrap.BLOCK], axis=1)
+        retained = (ranks[0] < npos).sum(axis=1)
+        bootstrap._add_error_curves(sums, counts, logs, ranks, retained, ws)
     return bootstrap._argmin_per_marginal(sums, counts, len(resamples))
 
 
@@ -208,6 +209,26 @@ class TestOptimalK:
         assert np.array_equal(sums, ref_sums)
         assert np.array_equal(counts, ref_counts)
 
+    def test_int32_and_intp_ranks_give_the_same_sums(self):
+        # the rank table's dtype is chosen by its size alone, so a block's
+        # ranks widened to intp must give the very same sums and counts
+        sample = half_positive_sample(33)
+        npos, rank, logs = bootstrap._rank_table(sample)
+        indices, m = range(40), 60
+        words = bootstrap._stream_words(600, m, 5, 1, indices)
+        ws = bootstrap._Workspace(2, len(indices), m)
+        _, ranks, retained = bootstrap._draw_block(npos, rank, m, 5, 1, indices, words,
+                                                   10, ws)
+        results = []
+        for block in (ranks.copy(), ranks.astype(np.intp)):
+            sums, counts = np.zeros((2, m + 2)), np.zeros((2, m + 2))
+            bootstrap._add_error_curves(sums, counts, logs, block, retained, ws)
+            results.append((sums, counts))
+        (sums32, counts32), (sums64, counts64) = results
+        assert rank.dtype == np.int32 and counts32.any()
+        assert np.array_equal(sums64, sums32)
+        assert np.array_equal(counts64, counts32)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_rank_table_logs_match_sorted_columns(self, d):
         rng = np.random.default_rng(40 + d)
@@ -215,9 +236,10 @@ class TestOptimalK:
         sample[:100, d - 1] = 0.0
         sample[100:200, 0] *= -1.0
         sample[300:] = sample[rng.integers(0, 300, 200)]
-        pos, rank, logs = bootstrap._rank_table(sample)
-        npos = int(pos.sum())
-        assert np.array_equal(pos, (sample > 0).all(axis=1))
+        npos, rank, logs = bootstrap._rank_table(sample)
+        pos = (sample > 0).all(axis=1)
+        assert npos == pos.sum() and rank.dtype == np.int32
+        assert np.array_equal(rank[0] < npos, pos)
         assert logs.shape == (d, npos + 1) and np.isfinite(logs).all()
         for j in range(d):
             column = sample[pos, j]
@@ -293,10 +315,21 @@ def replayed_draws(n, m, seed, stage, indices):
     return bootstrap._replayed_draws(n, m, words, workspace(indices, m))
 
 
-def draw_block(pos, m, seed, stage, indices, floor):
-    words = bootstrap._stream_words(pos.size, m, seed, stage, indices)
-    return bootstrap._draw_block(pos, m, seed, stage, indices, words, floor,
-                                 workspace(indices, m))
+def draw_block(sample, m, seed, stage, indices, floor):
+    npos, rank, _ = bootstrap._rank_table(sample)
+    words = bootstrap._stream_words(sample.shape[0], m, seed, stage, indices)
+    return bootstrap._draw_block(npos, rank, m, seed, stage, indices, words, floor,
+                                 bootstrap._Workspace(rank.shape[0], len(indices), m))
+
+
+def assert_ranks_and_counts(sample, draws, ranks, retained, i):
+    """Resample i's ranks are its draws' ranks in a fresh rank table, and
+    its retained count is the sum of its keep row; returns that row."""
+    npos, rank, _ = bootstrap._rank_table(sample)
+    assert np.array_equal(ranks[:, i], rank[:, draws[i]])
+    keep = ranks[0, i] < npos
+    assert retained[i] == keep.sum()
+    return keep
 
 
 def block_widths(sample, m, b, seed, stage, floor):
@@ -371,8 +404,7 @@ class TestStreamReplay:
     def test_redraws_continue_the_stream(self):
         sample = half_positive_sample(31)
         sample[:300, 0] *= -1.0  # about a quarter of the rows stay positive
-        draws, keep = draw_block((sample > 0).all(axis=1), 40, 3, 1,
-                                 range(60), 10)
+        draws, ranks, retained = draw_block(sample, 40, 3, 1, range(60), 10)
         redrawn = 0
         for i in range(60):
             rng = np.random.default_rng([3, 1, i])
@@ -382,7 +414,8 @@ class TestStreamReplay:
                     break
             redrawn += attempt > 0
             assert np.array_equal(sample[draws[i]], rows)
-            assert np.array_equal(keep[i], (rows > 0).all(axis=1))
+            keep = assert_ranks_and_counts(sample, draws, ranks, retained, i)
+            assert np.array_equal(keep, (rows > 0).all(axis=1))
         assert redrawn > 0
 
     def test_last_of_redraw_attempts_is_accepted(self):
@@ -394,10 +427,10 @@ class TestStreamReplay:
         draws = [sample[stream.integers(0, 400, 20)] for _ in range(bootstrap.REDRAW_ATTEMPTS)]
         kept = [int((rows > 0).all(axis=1).sum()) for rows in draws]
         assert max(kept[:-1]) < 5 <= kept[-1]
-        drawn, keep = draw_block((sample > 0).all(axis=1), 20, 0, 1,
-                                 range(553, 554), 5)
+        drawn, ranks, retained = draw_block(sample, 20, 0, 1, range(553, 554), 5)
         assert np.array_equal(sample[drawn[0]], draws[-1])
-        assert np.array_equal(keep[0], (draws[-1] > 0).all(axis=1))
+        keep = assert_ranks_and_counts(sample, drawn, ranks, retained, 0)
+        assert np.array_equal(keep, (draws[-1] > 0).all(axis=1))
 
     def test_outside_domain_raises_as_numpy(self):
         with pytest.raises(ValueError) as ours:
@@ -433,9 +466,9 @@ def drawn_blocks(monkeypatch):
     blocks = {}
     real = bootstrap._draw_block
 
-    def spy(pos, m, seed, stage, indices, words, *rest):
+    def spy(npos, rank, m, seed, stage, indices, words, *rest):
         blocks.setdefault(stage, []).append((indices, words))
-        return real(pos, m, seed, stage, indices, words, *rest)
+        return real(npos, rank, m, seed, stage, indices, words, *rest)
 
     monkeypatch.setattr(bootstrap, "_draw_block", spy)
     return blocks

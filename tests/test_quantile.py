@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dirquant import (
     Direction,
+    DirquantError,
     HeavyTailError,
     PositivityError,
     StdfContext,
@@ -430,6 +431,38 @@ class TestFlagOutliers:
         assert res_u.flagged[-1]
         assert not res_e.flagged[-1]
         assert res_u.alpha_z[-1] < res_e.alpha_z[-1]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        case=st.sampled_from(["2d-e", "2d-u", "3d-e"]),
+        data_seed=st.integers(0, 2**32 - 1),
+        perm_seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([8, 30, 100]),
+    )
+    def test_row_permutation_permutes_outputs(self, params_2d, params_3d, case,
+                                              data_seed, perm_seed, k):
+        # with a fixed k nothing depends on the row order; k="auto" is left
+        # out, since the bootstrap draws row indices
+        params, u = {
+            "2d-e": (params_2d, diagonal_direction(2)),
+            "2d-u": (params_2d, Direction.from_vector([0.8, -0.6])),
+            "3d-e": (params_3d, diagonal_direction(3)),
+        }[case]
+        x = sample_t(params, 400, data_seed)
+        p = np.random.default_rng(perm_seed).permutation(400)
+
+        def flags(rows):
+            try:
+                return flag_outliers(rows, u, 0.01, k=k)
+            except DirquantError as exc:
+                return type(exc)
+
+        res, res_p = flags(x), flags(x[p])
+        if isinstance(res, type) or isinstance(res_p, type):
+            assert res is res_p
+        else:
+            assert np.array_equal(res.alpha_z[p], res_p.alpha_z)
+            assert np.array_equal(res.flagged[p], res_p.flagged)
 
     def test_auto_k_uses_bootstrap(self, sample_2d):
         res = flag_outliers(sample_2d, diagonal_direction(2), 0.01, k="auto",
