@@ -8,16 +8,19 @@ sample is rotated into the diagonal direction and fitted at k = n/50, as
 ``flag --direction e`` does. Its thresholds are those of the rows inside
 the extremal region, 0.69 n to 0.83 n of them in 2-D: the queries of
 ``flag``'s tail-level inversion. ``union_exceedance_counts`` is then
-timed on them, after one untimed call. The kernel it chose is read by
-wrapping the module's two kernels from this script.
+timed on them, after one untimed call. The kernels it chose, and how many
+queries each counted, are read by wrapping the module's three kernels from
+this script: in 2-D the chain kernel takes the queries on the arc, and the
+few left over (rounding violators) fall back to a general kernel.
 
     GLIBC_TUNABLES=glibc.malloc.mmap_threshold=131072 \\
         python3 scripts/bench_counting.py --label after
 
-prints, per size, the kernel, the queries and the best and median
-milliseconds, and writes them to ``<out>/BENCH_<label>.json``
-(``results/`` by default). The malloc setting is the one the benchmark
-in ``perfbench/`` runs under; it is recorded in the JSON.
+prints, per size, the kernels, the queries, those counted by a general
+kernel and the best and median milliseconds, and writes them to
+``<out>/BENCH_<label>.json`` (``results/`` by default). The malloc
+setting is the one the benchmark in ``perfbench/`` runs under; it is
+recorded in the JSON.
 """
 
 import argparse
@@ -38,7 +41,8 @@ from dirquant.evt import extrapolate, frechet_weights
 SEED = 2024
 SIGMA_2D = np.array([[1.0, 0.9], [0.9, 1.0]])
 SIGMA_3D = np.array([[5.0, 2.44, -1.88], [2.44, 2.12, 0.04], [-1.88, 0.04, 2.36]])
-# (d, n): the 2-D sizes run the sorted kernel, the 3-D one compares
+# (d, n): the 2-D sizes are counted along the threshold chain, the 3-D one
+# compares every query with every row
 SIZES = ((2, 10_000), (2, 30_000), (2, 100_000), (3, 10_000))
 
 
@@ -58,30 +62,36 @@ def flag_queries(d: int, n: int):
     return rotated, extrapolate(thetas, fit.a, fit.b, fit.gamma_marginal)
 
 
+# the kernels that count any set of queries, as against a chain
+GENERAL = ("dominated_2d", "exceedances_by_comparison")
+
+
 class KernelProbe:
-    """Names of the counting kernels that ran since ``ran`` was cleared."""
+    """Queries counted by each kernel that ran since ``ran`` was cleared."""
 
     def __init__(self):
-        self.ran = set()
-        for name in ("_dominated_2d", "_exceedances_by_comparison"):
+        self.ran = {}
+        for name in ("_dominated_chain", "_dominated_2d", "_exceedances_by_comparison"):
             real = getattr(stdf, name)
 
-            def wrapped(*args, real=real, name=name):
-                self.ran.add(name.lstrip("_"))
-                return real(*args)
+            def wrapped(sample, thr, real=real, name=name.lstrip("_")):
+                self.ran[name] = self.ran.get(name, 0) + thr.shape[0]
+                return real(sample, thr)
 
             setattr(stdf, name, wrapped)
 
 
 def measure(sample, thresholds, repeat: int, probe: KernelProbe):
-    stdf.union_exceedance_counts(sample, thresholds)
+    """The untimed call's queries per kernel, and the milliseconds of each timed call."""
     probe.ran.clear()
+    stdf.union_exceedance_counts(sample, thresholds)
+    ran = dict(probe.ran)
     ms = []
     for _ in range(repeat):
         t0 = time.perf_counter()
         stdf.union_exceedance_counts(sample, thresholds)
         ms.append(1e3 * (time.perf_counter() - t0))
-    return ms
+    return ran, ms
 
 
 def main() -> None:
@@ -96,17 +106,19 @@ def main() -> None:
     rows = []
     for d, n in SIZES:
         sample, thresholds = flag_queries(d, n)
-        ms = measure(sample, thresholds, args.repeat, probe)
+        ran, ms = measure(sample, thresholds, args.repeat, probe)
         rows.append({
             "d": d,
             "n": n,
             "queries": int(thresholds.shape[0]),
-            "kernel": "+".join(sorted(probe.ran)),
+            "kernel": "+".join(sorted(ran)),
+            "fallback_queries": sum(ran.get(name, 0) for name in GENERAL),
             "best_ms": min(ms),
             "median_ms": statistics.median(ms),
         })
         r = rows[-1]
-        print(f"d={d} n={n} q={r['queries']} {r['kernel']}: "
+        print(f"d={d} n={n} q={r['queries']} {r['kernel']}, "
+              f"{r['fallback_queries']} to a general kernel: "
               f"best {r['best_ms']:.1f} ms, median {r['median_ms']:.1f} ms")
     result = {
         "label": args.label,

@@ -8,9 +8,14 @@ radius rho_hat that scales quantile points along that angular ray.
 A row fails to exceed a threshold vector exactly when it is componentwise
 <= it, so the count is n minus an offline dominance count. For d = 1 that
 count is a binary search in the sorted column. For d = 2 and enough
-queries it comes from a block table in rank space (``_dominated_2d``), in
-O(n log n + q (log n + sqrt n)) time and O(n + q) extra memory. Otherwise
-every query is compared with every row, in O(q n d) time.
+queries, the thresholds extrapolated from unit angles lie on one monotone
+arc: sorted by the first coordinate, the second never rises. Such a chain
+of queries is counted with one interval per row (``_dominated_chain``), in
+O((n + q) log(n + q)) time. The few queries off the chain, such as rounding
+violators of the arc or non-finite thresholds, go to a block table in rank
+space (``_dominated_2d``) when there are 128 or more of them, in
+O(n log n + q (log n + sqrt n)) time. Both take O(n + q) extra memory.
+Otherwise every query is compared with every row, in O(q n d) time.
 """
 
 from __future__ import annotations
@@ -66,7 +71,10 @@ def union_exceedance_counts(sample: np.ndarray, thresholds: np.ndarray) -> np.nd
     ``thresholds`` has shape (q, d); returns integer counts of length q.
     Exceedance is strict, and a nan threshold is never exceeded. One- and
     two-dimensional samples with many queries are counted through sorted
-    coordinates; other inputs compare every query with every row.
+    coordinates; other inputs compare every query with every row. In 2-D,
+    the finite queries that form a chain (first coordinate rising, second
+    falling) take the interval kernel; the rest take the block table from
+    128 of them on and the comparison below that.
     """
     sample = np.asarray(sample, dtype=float)
     thr = np.atleast_2d(np.asarray(thresholds, dtype=float))
@@ -83,8 +91,33 @@ def union_exceedance_counts(sample: np.ndarray, thresholds: np.ndarray) -> np.nd
     if d == 1 and q >= 16:
         return n - _count_at_or_below(sample[:, 0], thr[:, 0])[1]
     if d == 2 and q >= 128 and 512 <= n < 2**31:
-        return n - _dominated_2d(sample, thr)
+        chain, rest = _threshold_chain(thr)
+        out = np.empty(q, dtype=np.int64)
+        out[chain] = n - _dominated_chain(sample, thr.take(chain, axis=0))
+        if rest.size >= 128:
+            out[rest] = n - _dominated_2d(sample, thr.take(rest, axis=0))
+        elif rest.size:
+            out[rest] = _exceedances_by_comparison(sample, thr.take(rest, axis=0))
+        return out
     return _exceedances_by_comparison(sample, thr)
+
+
+def _threshold_chain(thr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of a chain among the (q, 2) thresholds, in chain order, and of the rest.
+
+    The finite queries sorted by their first coordinate are on the chain
+    when their second coordinate is a running minimum, so along the chain
+    the first coordinate never falls and the second never rises. On an arc
+    of extrapolated thresholds that is every query but a few whose
+    coordinates rounded the other way.
+    """
+    finite = np.flatnonzero(np.isfinite(thr[:, 0]) & np.isfinite(thr[:, 1]))
+    by_t1 = finite[np.argsort(thr[finite, 0])]
+    t2 = thr[by_t1, 1]
+    record = t2 == np.fmin.accumulate(t2)
+    off_chain = np.ones(thr.shape[0], dtype=bool)
+    off_chain[by_t1[record]] = False
+    return by_t1[record], np.flatnonzero(off_chain)
 
 
 def _exceedances_by_comparison(sample: np.ndarray, thr: np.ndarray) -> np.ndarray:
@@ -134,6 +167,30 @@ def _count_at_or_below(col: np.ndarray, t: np.ndarray, order: bool = False):
     counts = np.empty(t.size, dtype=np.int64)
     counts[by_t] = np.searchsorted(col, t[by_t], side="right")
     return idx, counts
+
+
+def _dominated_chain(cols: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """Rows of the (n, 2) sample ``cols`` at or below each threshold pair of a chain.
+
+    Along the (c, 2) ``chain`` the first coordinate never falls and the
+    second never rises. So a row x is at or below the queries s >= hi in
+    its first coordinate, where hi = #{t1 < x1}, and the queries s < lo in
+    its second, where lo = #{t2 >= x2}: exactly the queries hi <= s < lo
+    count it. Since hi = c - #{-t1 <= -x1} and lo = #{-t2 <= -x2},
+    ``_count_at_or_below`` gives both, with the negated chain as its column
+    and the negated sample as its thresholds, under its tie and nan rules:
+    a nan sample value, which never exceeds anything, is at or below every
+    query. One difference array over the chain, summed, gives every count
+    in O((n + c) log(n + c)) time and O(n + c) extra memory.
+    """
+    c = chain.shape[0]
+    hi = c - _count_at_or_below(-chain[:, 0], -cols[:, 0])[1]
+    lo = _count_at_or_below(-chain[:, 1], -cols[:, 1])[1]
+    # a row with lo <= hi is below no query of the chain
+    np.maximum(lo, hi, out=lo)
+    delta = np.bincount(hi, minlength=c + 1)
+    delta -= np.bincount(lo, minlength=c + 1)
+    return np.cumsum(delta[:c])
 
 
 def _block_size(n: int) -> int:

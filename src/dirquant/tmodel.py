@@ -23,7 +23,9 @@ is applied to each part, with every node of every angle in one
 1e-12 down to df 0.7, but it grows beyond df 40 at large arguments:
 1e-11 at df 48.5, 5e-9 at df 64.5 and 5e-6 at df 100.5, each at
 x1 = 1e3. Normalization sequences use the inverse t distribution function
-``special.stdtrit``.
+``special.stdtrit``. The functions that call ``scipy.special`` import it
+themselves, so that the commands which never reach them start without
+loading scipy.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateModelError, InversionError, UnsupportedDimensionError
 from .evt import TailFit, extrapolate
@@ -194,6 +195,8 @@ def _t2_cdf(x1, x2, r, nu: float) -> np.ndarray:
     argument reduces the value to the univariate t distribution function
     of the other one.
     """
+    from scipy import special
+
     x1, x2, r = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (x1, x2, r)))
     out = np.asarray(np.minimum(special.stdtr(nu, x1), special.stdtr(nu, x2)))
     finite = np.isfinite(x1) & np.isfinite(x2)
@@ -267,6 +270,8 @@ def _t2_cdf_closed(x1, x2, r, nu: int) -> np.ndarray:
 
 
 def _t2_cdf_block(x1, x2, r, nu: float) -> np.ndarray:
+    from scipy import special
+
     root_nu = math.sqrt(nu)
     x2, r = x2[:, None, None], r[:, None, None]
     hi = np.arctan2(root_nu, -x1)[:, None, None]
@@ -298,6 +303,8 @@ def t_cdf(x, corr, nu: float) -> float:
     below 2e-13 for nu from 1 to 40 and below 1e-12 down to nu = 0.7,
     and grows above nu = 40 at large arguments.
     """
+    from scipy import special
+
     x = np.atleast_1d(np.asarray(x, dtype=float))
     corr = np.atleast_2d(np.asarray(corr, dtype=float))
     d = x.size
@@ -327,6 +334,8 @@ def t_stdf(z, corr, nu: float):
     with absolute error per term below 4e-15, and otherwise the
     tanh-sinh rule, below 2e-13 for nu + 1 from 1 to 40.
     """
+    from scipy import special
+
     z = np.asarray(z, dtype=float)
     corr = np.asarray(corr, dtype=float)
     if z.ndim not in (1, 2):
@@ -386,6 +395,8 @@ def theoretical_norm_sequences(params: TParams, t: float):
     with q from the inverse univariate t distribution function;
     a_j(t) = gamma * b_j(t), the first-order scale of a gamma > 0 tail.
     """
+    from scipy import special
+
     if not t > 1.0:
         raise ValueError(f"t must exceed 1, got {t!r}")
     q = float(special.stdtrit(params.nu, 1.0 - 1.0 / t))

@@ -734,6 +734,45 @@ class TestExitCodes:
         assert "estimate" in proc.stdout
 
 
+# Runs each command line of argv[1], a JSON list, in one fresh process and
+# prints, per command, its exit code and whether scipy was loaded by then.
+_SCIPY_CHILD = """
+import json, sys
+from dirquant.cli import main
+for argv in json.loads(sys.argv[1]):
+    print(json.dumps([argv[0], main(argv), "scipy" in sys.modules]))
+"""
+
+
+def test_data_commands_start_without_scipy(tmp_path):
+    # only the t-model oracle needs scipy.special; oracle-t runs last, since
+    # a loaded module stays loaded
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    x = str(tmp_path / "x.csv")
+    runs = [
+        ["simulate-t", "--mu", MU2, "--sigma", SIG2, "--nu", "3", "--n", "600",
+         "--seed", "5", "--output", x],
+        ["rotate", "--input", x, "--has-header", "--output", str(tmp_path / "rotated.csv")],
+        ["select-k", "--input", x, "--has-header", "--b1", "50",
+         "--output", str(tmp_path / "k.json")],
+        ["estimate", "--input", x, "--has-header", "--alpha", "0.001", "--k", "30",
+         "--grid", "8", "--output", str(tmp_path / "surface.json")],
+        ["flag", "--input", x, "--has-header", "--alpha", "0.001", "--k", "30",
+         "--output", str(tmp_path / "flags.json")],
+        ["oracle-t", "--mu", MU2, "--sigma", SIG2, "--nu", "3", "--alpha", "0.001",
+         "--n", "600", "--k", "30", "--grid", "8",
+         "--output", str(tmp_path / "oracle.json")],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_CHILD, json.dumps(runs)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == [
+        [argv[0], 0, argv[0] == "oracle-t"] for argv in runs]
+
+
 # a value of each RunConfig field, as the text of its flag and config key;
 # True stands for a switch given as its bare flag and as "true"
 OPTION_TEXT = {

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from dirquant import (
     tail_levels,
     theta_grid,
 )
-from dirquant import quantile
+from dirquant import quantile, stdf
 
 from oracles import rho_hat, tail_level
 
@@ -343,6 +344,29 @@ class TestTailLevel:
                 assert az == pytest.approx(alpha, rel=1e-12)
                 exact += 1
         assert exact > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(data_seed=st.integers(0, 2**32 - 1), n=st.integers(512, 2000),
+           m=st.integers(128, 300), k=st.sampled_from([20, 50, 100]),
+           alpha=st.sampled_from([1e-5, 1e-4, 1e-3]), explicit=st.booleans())
+    def test_unfloored_surface_points_invert_on_the_chain_path(
+            self, params_2d, data_seed, n, m, k, alpha, explicit):
+        # 512 rows or more and 128 angles or more count along the threshold
+        # chain. The inversion is not bit for bit: the round trip through
+        # the rotation, the Frechet weights and their norm moves alpha_z by
+        # a few ulps. A count off by one would move it by 1/count >= 1/n.
+        u = Direction.from_vector([0.8, -0.6]) if explicit else diagonal_direction(2)
+        try:
+            fitted = quantile.fit_direction(sample_t(params_2d, n, data_seed), u, k)
+            with mock.patch.object(stdf, "_dominated_chain",
+                                   wraps=stdf._dominated_chain) as chain:
+                surf = fitted.surface(alpha, theta_grid(2, m))
+                levels = fitted.levels(surf.x_original)
+        except DirquantError:
+            return
+        assert chain.call_count == 2
+        unfloored = ~surf.floored
+        assert np.allclose(levels[unfloored], alpha, rtol=1e-12, atol=0.0)
 
     def test_outward_moves_never_increase_level(self, params_2d):
         data = sample_t(params_2d, 20_000, 77)

@@ -12,6 +12,7 @@ from dirquant import (
     rho_hat_batch,
 )
 from dirquant import stdf
+from dirquant.evt import extrapolate
 
 from oracles import empirical_neg_log_G, rho_hat
 
@@ -240,19 +241,105 @@ class TestSortedCounting:
         (2, 5000, 64, False), (2, 10_000, 7800, True),
     ])
     def test_chosen_path_matches_comparison(self, d, n, q, sorted_path, monkeypatch):
-        calls = []
-        real = stdf._exceedances_by_comparison
-        monkeypatch.setattr(stdf, "_exceedances_by_comparison",
-                            lambda s, t: calls.append(1) or real(s, t))
+        compare = stdf._exceedances_by_comparison
+        ran = []
+        for name in ("_dominated_chain", "_dominated_2d", "_exceedances_by_comparison"):
+            real = getattr(stdf, name)
+            monkeypatch.setattr(stdf, name, lambda s, t, real=real, name=name:
+                                ran.append((name, t)) or real(s, t))
         rng = np.random.default_rng(n + q + d)
-        for sample, thresholds in [
+        cases = [
             (rng.standard_t(3, (n, d)), rng.standard_t(3, (q, d))),
             (rng.integers(0, 20, (n, d)).astype(float),
              rng.integers(-1, 21, (q, d)).astype(float)),
-        ]:
+        ]
+        for sample, thresholds in cases:
             thresholds[::7] = sample[rng.integers(0, n, thresholds[::7].shape[0])]
+        if d == 2:
+            cases.append((rng.standard_t(3, (n, d)), arc_thresholds(rng, q)))
+        for i, (sample, thresholds) in enumerate(cases):
+            ran.clear()
             got = stdf.union_exceedance_counts(sample, thresholds)
-            want = real(sample, thresholds)
             assert got.dtype == np.int64
-            assert np.array_equal(got, want)
-        assert len(calls) == (0 if sorted_path else 2)
+            assert np.array_equal(got, compare(sample, thresholds))
+            kernels = {name: t.shape[0] for name, t in ran}
+            if not sorted_path:
+                assert kernels == {"_exceedances_by_comparison": q}
+            elif d == 1:
+                assert kernels == {}
+            else:
+                chain = ran[0][1]
+                assert ran[0][0] == "_dominated_chain" and np.isfinite(chain).all()
+                assert (np.diff(chain[:, 0]) >= 0).all() and (np.diff(chain[:, 1]) <= 0).all()
+                # the rest take the block table from 128 queries on
+                rest = q - chain.shape[0]
+                general = "_dominated_2d" if rest >= 128 else "_exceedances_by_comparison"
+                assert kernels == {"_dominated_chain": q - rest, **({general: rest} if rest else {})}
+                if i == 2:
+                    # an arc leaves at most a few rounding violators
+                    assert rest <= q // 500 + 1
+
+
+def arc_thresholds(rng, q):
+    """Thresholds extrapolated from q unit non-negative angles, the axes included."""
+    phi = rng.uniform(0.0, np.pi / 2, q)
+    thetas = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    thetas[:2] = [[1.0, 0.0], [0.0, 1.0]]
+    return extrapolate(thetas, rng.uniform(0.5, 2.0, 2), rng.uniform(0.5, 2.0, 2),
+                       rng.uniform(0.2, 0.8, 2))
+
+
+class TestChainCounting:
+    @settings(max_examples=300, deadline=None)
+    @given(_ROWS, st.integers(0, 40), st.data())
+    def test_matches_counting_oracle(self, n, q, data):
+        # every query the split puts on the chain, ties, infinities and nan
+        # in the sample included
+        sample = np.array(data.draw(st.lists(_CELL, min_size=2 * n, max_size=2 * n)))
+        thresholds = np.array(data.draw(st.lists(_CELL, min_size=2 * q, max_size=2 * q)))
+        sample, thresholds = sample.reshape(n, 2), thresholds.reshape(q, 2)
+        chain, rest = stdf._threshold_chain(thresholds)
+        assert sorted(chain.tolist() + rest.tolist()) == list(range(q))
+        counts = n - stdf._dominated_chain(sample, thresholds[chain])
+        assert counts.tolist() == [counting_oracle(sample, t) for t in thresholds[chain]]
+
+    def test_ulp_violators_ties_and_special_values(self):
+        # an arc plus copies of its points moved by up to 3 ulps either way
+        # in each coordinate, rows equal to thresholds or sharing one
+        # coordinate, and nan or +-inf on both sides: the queries the chain
+        # leaves, finite ones included, are counted by the fallback
+        rng = np.random.default_rng(21)
+        n, q = 700, 300
+        arc = arc_thresholds(rng, 200)
+        near = arc[rng.integers(0, 200, q - 200)]
+        thresholds = np.concatenate([arc, near + rng.integers(-3, 4, near.shape)
+                                     * np.spacing(near)])
+        sample = rng.standard_t(3, (n, 2)) + 1.0
+        sample[:60] = thresholds[rng.integers(0, q, 60)]
+        sample[60:90, 0] = thresholds[rng.integers(0, q, 30), 0]
+        sample[90:120, 1] = thresholds[rng.integers(0, q, 30), 1]
+        for a in (sample, thresholds):
+            special = rng.random(a.shape) < 0.02
+            a[special] = rng.choice([np.nan, np.inf, -np.inf], special.sum())
+        chain, rest = stdf._threshold_chain(thresholds)
+        assert np.isfinite(thresholds[chain]).all() and chain.size > q // 2
+        assert np.isfinite(thresholds[rest]).all(axis=1).sum() >= 10
+        got = stdf.union_exceedance_counts(sample, thresholds)
+        assert np.array_equal(got, stdf._exceedances_by_comparison(sample, thresholds))
+        assert got.tolist() == [counting_oracle(sample, t) for t in thresholds]
+
+    def test_peak_memory_is_linear_in_rows_and_queries(self):
+        # n = 1e5 rows and an arc of q = 0.78 n queries, the flag shape. The
+        # kernel traced 31 bytes per row and query at its peak with numpy 2.4.
+        rng = np.random.default_rng(3)
+        n, q = 100_000, 78_000
+        sample = rng.standard_t(3, (n, 2))
+        thresholds = arc_thresholds(rng, q)
+        chain = thresholds[stdf._threshold_chain(thresholds)[0]]
+        tracemalloc.start()
+        try:
+            stdf._dominated_chain(sample, chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * (n + q)
