@@ -8,16 +8,18 @@ sample is rotated into the diagonal direction and fitted at k = n/50, as
 ``flag --direction e`` does. Its thresholds are those of the rows inside
 the extremal region, 0.69 n to 0.83 n of them in 2-D: the queries of
 ``flag``'s tail-level inversion. ``union_exceedance_counts`` is then
-timed on them, after one untimed call. The kernels it chose, and how many
-queries each counted, are read by wrapping the module's three kernels from
-this script: in 2-D the chain kernel takes the queries on the arc, and the
-few left over (rounding violators) fall back to a general kernel.
+timed on them, after one untimed call. The kernels it chose, how many
+queries each counted, and the 2-D kernel's strips are read by wrapping the
+module's kernels from this script: in 2-D every query is counted with its
+second coordinate clamped to the running minimum along the arc, and the
+few queries whose coordinates rounded above that clamp also count the
+rows of a strip between the two.
 
     GLIBC_TUNABLES=glibc.malloc.mmap_threshold=131072 \\
         python3 scripts/bench_counting.py --label after
 
-prints, per size, the kernels, the queries, those counted by a general
-kernel and the best and median milliseconds, and writes them to
+prints, per size, the kernels, the queries, those above their clamp, the
+rows in their strips and the best and median milliseconds, and writes them to
 ``<out>/BENCH_<label>.json`` (``results/`` by default). The malloc
 setting is the one the benchmark in ``perfbench/`` runs under; it is
 recorded in the JSON.
@@ -41,8 +43,8 @@ from dirquant.evt import extrapolate, frechet_weights
 SEED = 2024
 SIGMA_2D = np.array([[1.0, 0.9], [0.9, 1.0]])
 SIGMA_3D = np.array([[5.0, 2.44, -1.88], [2.44, 2.12, 0.04], [-1.88, 0.04, 2.36]])
-# (d, n): the 2-D sizes are counted along the threshold chain, the 3-D one
-# compares every query with every row
+# (d, n): the 2-D sizes are counted along the clamped threshold chain, the
+# 3-D one compares every query with every row
 SIZES = ((2, 10_000), (2, 30_000), (2, 100_000), (3, 10_000))
 
 
@@ -62,16 +64,12 @@ def flag_queries(d: int, n: int):
     return rotated, extrapolate(thetas, fit.a, fit.b, fit.gamma_marginal)
 
 
-# the kernels that count any set of queries, as against a chain
-GENERAL = ("dominated_2d", "exceedances_by_comparison")
-
-
 class KernelProbe:
-    """Queries counted by each kernel that ran since ``ran`` was cleared."""
+    """Queries counted by each kernel, and the strips counted, since ``clear``."""
 
     def __init__(self):
-        self.ran = {}
-        for name in ("_dominated_chain", "_dominated_2d", "_exceedances_by_comparison"):
+        self.clear()
+        for name in ("_dominated_2d", "_exceedances_by_comparison"):
             real = getattr(stdf, name)
 
             def wrapped(sample, thr, real=real, name=name.lstrip("_")):
@@ -79,13 +77,24 @@ class KernelProbe:
                 return real(sample, thr)
 
             setattr(stdf, name, wrapped)
+        real_strips = stdf._strip_counts
+
+        def strips(x1, order, start, stop, t1):
+            self.above += start.size
+            self.strip_rows += int((stop - start).sum())
+            return real_strips(x1, order, start, stop, t1)
+
+        stdf._strip_counts = strips
+
+    def clear(self):
+        self.ran, self.above, self.strip_rows = {}, 0, 0
 
 
 def measure(sample, thresholds, repeat: int, probe: KernelProbe):
-    """The untimed call's queries per kernel, and the milliseconds of each timed call."""
-    probe.ran.clear()
+    """The untimed call's probe counts, and the milliseconds of each timed call."""
+    probe.clear()
     stdf.union_exceedance_counts(sample, thresholds)
-    ran = dict(probe.ran)
+    ran = (dict(probe.ran), probe.above, probe.strip_rows)
     ms = []
     for _ in range(repeat):
         t0 = time.perf_counter()
@@ -106,19 +115,20 @@ def main() -> None:
     rows = []
     for d, n in SIZES:
         sample, thresholds = flag_queries(d, n)
-        ran, ms = measure(sample, thresholds, args.repeat, probe)
+        (ran, above, strip_rows), ms = measure(sample, thresholds, args.repeat, probe)
         rows.append({
             "d": d,
             "n": n,
             "queries": int(thresholds.shape[0]),
             "kernel": "+".join(sorted(ran)),
-            "fallback_queries": sum(ran.get(name, 0) for name in GENERAL),
+            "above_clamp_queries": above,
+            "strip_rows": strip_rows,
             "best_ms": min(ms),
             "median_ms": statistics.median(ms),
         })
         r = rows[-1]
         print(f"d={d} n={n} q={r['queries']} {r['kernel']}, "
-              f"{r['fallback_queries']} to a general kernel: "
+              f"{above} above their clamp with {strip_rows} strip rows: "
               f"best {r['best_ms']:.1f} ms, median {r['median_ms']:.1f} ms")
     result = {
         "label": args.label,

@@ -347,7 +347,9 @@ def flag_outliers(
 
     A row is flagged when its tail level is below alpha and the row lies
     in the extremal region (alpha_z <= k/n); rows with larger levels are
-    interior and never flagged.
+    interior and never flagged. A tail level is computed to a few ulps, so
+    a row whose level equals alpha to that precision, such as a point of
+    the level-alpha surface, can land on either side of alpha_z < alpha.
     """
     fitted = fit_direction(sample, u, k, epsilon=epsilon, b1=b1, seed=seed)
     fit = fitted.fit

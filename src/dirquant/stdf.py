@@ -9,18 +9,17 @@ A row fails to exceed a threshold vector exactly when it is componentwise
 <= it, so the count is n minus an offline dominance count. For d = 1 that
 count is a binary search in the sorted column. For d = 2 and enough
 queries, the thresholds extrapolated from unit angles lie on one monotone
-arc: sorted by the first coordinate, the second never rises. Such a chain
-of queries is counted with one interval per row (``_dominated_chain``), in
-O((n + q) log(n + q)) time. The few queries off the chain, such as rounding
-violators of the arc or non-finite thresholds, go to a block table in rank
-space (``_dominated_2d``) when there are 128 or more of them, in
-O(n log n + q (log n + sqrt n)) time. Both take O(n + q) extra memory.
-Otherwise every query is compared with every row, in O(q n d) time.
+arc: sorted by the first coordinate, the second never rises, up to
+rounding. ``_dominated_2d`` clamps the second coordinate of the finite
+queries to its running minimum, counts the clamped chain with one
+interval per row, and adds, for each query above its clamp, the rows of
+the strip between the two. On an arc that takes O((n + q) log(n + q))
+time and O(n + q) extra memory. Non-finite thresholds, fewer queries and
+d >= 3 compare every query with every row, in O(q n d) time.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,13 +27,9 @@ import numpy as np
 from .evt import TailFit, _require_heavy_tails, extrapolate
 
 # Largest number of pairwise comparisons materialized at once by the
-# batched counting kernel: two boolean buffers of this many cells, 4 MB.
+# batched counting kernel, two boolean buffers of this many cells, 4 MB;
+# and of strip rows gathered at once by the 2-D kernel.
 _CHUNK_CELLS = 2_000_000
-
-# Query-by-offset cells of one chunk of _dominated_2d's residual strips:
-# its int32 buffer stays below 128 KiB, glibc's smallest mmap threshold,
-# so each call reuses heap memory instead of faulting in fresh pages.
-_STRIP_CELLS = 32_000
 
 
 @dataclass(frozen=True)
@@ -71,10 +66,8 @@ def union_exceedance_counts(sample: np.ndarray, thresholds: np.ndarray) -> np.nd
     ``thresholds`` has shape (q, d); returns integer counts of length q.
     Exceedance is strict, and a nan threshold is never exceeded. One- and
     two-dimensional samples with many queries are counted through sorted
-    coordinates; other inputs compare every query with every row. In 2-D,
-    the finite queries that form a chain (first coordinate rising, second
-    falling) take the interval kernel; the rest take the block table from
-    128 of them on and the comparison below that.
+    coordinates, in 2-D the finite queries only; other inputs compare
+    every query with every row.
     """
     sample = np.asarray(sample, dtype=float)
     thr = np.atleast_2d(np.asarray(thresholds, dtype=float))
@@ -84,40 +77,22 @@ def union_exceedance_counts(sample: np.ndarray, thresholds: np.ndarray) -> np.nd
         raise ValueError(f"thresholds have dimension {thr.shape[1]}, sample has {d}")
     # Below these sizes the sorts cost more than the comparisons they save.
     # Measured with numpy 2.4 on a 2-core x86-64 host, sorting breaks even
-    # near 8-16 queries for d = 1, and for d = 2 near 64-128 queries over
-    # 512 rows or more: over 5000 rows, 64 queries take 0.45 ms to compare
-    # and 0.65 ms to sort, 256 queries 1.75 ms and 0.48 ms. The 2-D
-    # kernel's ranks are int32.
+    # near 8-16 queries for d = 1, and for d = 2 near 64-96 queries along
+    # an arc over 256 rows or more: over 5000 rows, 64 queries take 0.23 ms
+    # to compare and 0.30 ms sorted, 128 queries 0.45 and 0.30 ms, and over
+    # 20 000 rows 3.4 and 2.0 ms. Off an arc the strips widen: 128 random
+    # queries over 20 000 rows took 26 ms sorted.
     if d == 1 and q >= 16:
         return n - _count_at_or_below(sample[:, 0], thr[:, 0])[1]
-    if d == 2 and q >= 128 and 512 <= n < 2**31:
-        chain, rest = _threshold_chain(thr)
+    if d == 2 and q >= 128 and n >= 512:
+        finite = np.isfinite(thr[:, 0]) & np.isfinite(thr[:, 1])
+        if finite.all():
+            return n - _dominated_2d(sample, thr)
         out = np.empty(q, dtype=np.int64)
-        out[chain] = n - _dominated_chain(sample, thr.take(chain, axis=0))
-        if rest.size >= 128:
-            out[rest] = n - _dominated_2d(sample, thr.take(rest, axis=0))
-        elif rest.size:
-            out[rest] = _exceedances_by_comparison(sample, thr.take(rest, axis=0))
+        out[~finite] = _exceedances_by_comparison(sample, thr[~finite])
+        out[finite] = n - _dominated_2d(sample, thr[finite])
         return out
     return _exceedances_by_comparison(sample, thr)
-
-
-def _threshold_chain(thr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of a chain among the (q, 2) thresholds, in chain order, and of the rest.
-
-    The finite queries sorted by their first coordinate are on the chain
-    when their second coordinate is a running minimum, so along the chain
-    the first coordinate never falls and the second never rises. On an arc
-    of extrapolated thresholds that is every query but a few whose
-    coordinates rounded the other way.
-    """
-    finite = np.flatnonzero(np.isfinite(thr[:, 0]) & np.isfinite(thr[:, 1]))
-    by_t1 = finite[np.argsort(thr[finite, 0])]
-    t2 = thr[by_t1, 1]
-    record = t2 == np.fmin.accumulate(t2)
-    off_chain = np.ones(thr.shape[0], dtype=bool)
-    off_chain[by_t1[record]] = False
-    return by_t1[record], np.flatnonzero(off_chain)
 
 
 def _exceedances_by_comparison(sample: np.ndarray, thr: np.ndarray) -> np.ndarray:
@@ -144,11 +119,11 @@ def _exceedances_by_comparison(sample: np.ndarray, thr: np.ndarray) -> np.ndarra
     return out
 
 
-def _count_at_or_below(col: np.ndarray, t: np.ndarray, order: bool = False):
+def _count_at_or_below(col: np.ndarray, t: np.ndarray):
     """The number of values of one sample column at or below each threshold.
 
-    Returns (the column's ascending order or None, the counts). This is
-    where the sorted kernels' tie and nan rules live: a value equal to its
+    Returns (the thresholds' ascending order, the counts). This is where
+    the sorted kernels' tie and nan rules live: a value equal to its
     threshold does not exceed it; a nan value never exceeds anything, so
     it sorts as -inf; a nan threshold is never exceeded, and since nan
     sorts last it counts every row. No sort needs to be stable: equal
@@ -157,120 +132,85 @@ def _count_at_or_below(col: np.ndarray, t: np.ndarray, order: bool = False):
     binary searches in cache, and the counts are scattered back.
     """
     col = np.where(np.isnan(col), -np.inf, col)
-    idx = None
-    if order:
-        idx = np.argsort(col)
-        col = col[idx]
-    else:
-        col.sort()
+    col.sort()
     by_t = np.argsort(t)
-    counts = np.empty(t.size, dtype=np.int64)
-    counts[by_t] = np.searchsorted(col, t[by_t], side="right")
-    return idx, counts
-
-
-def _dominated_chain(cols: np.ndarray, chain: np.ndarray) -> np.ndarray:
-    """Rows of the (n, 2) sample ``cols`` at or below each threshold pair of a chain.
-
-    Along the (c, 2) ``chain`` the first coordinate never falls and the
-    second never rises. So a row x is at or below the queries s >= hi in
-    its first coordinate, where hi = #{t1 < x1}, and the queries s < lo in
-    its second, where lo = #{t2 >= x2}: exactly the queries hi <= s < lo
-    count it. Since hi = c - #{-t1 <= -x1} and lo = #{-t2 <= -x2},
-    ``_count_at_or_below`` gives both, with the negated chain as its column
-    and the negated sample as its thresholds, under its tie and nan rules:
-    a nan sample value, which never exceeds anything, is at or below every
-    query. One difference array over the chain, summed, gives every count
-    in O((n + c) log(n + c)) time and O(n + c) extra memory.
-    """
-    c = chain.shape[0]
-    hi = c - _count_at_or_below(-chain[:, 0], -cols[:, 0])[1]
-    lo = _count_at_or_below(-chain[:, 1], -cols[:, 1])[1]
-    # a row with lo <= hi is below no query of the chain
-    np.maximum(lo, hi, out=lo)
-    delta = np.bincount(hi, minlength=c + 1)
-    delta -= np.bincount(lo, minlength=c + 1)
-    return np.cumsum(delta[:c])
-
-
-def _block_size(n: int) -> int:
-    """Side s of the position and rank blocks of ``_dominated_2d``."""
-    return max(1, math.isqrt(n) // 2)
+    found = np.searchsorted(col, t[by_t], side="right")
+    counts = np.empty_like(found)
+    counts[by_t] = found
+    return by_t, counts
 
 
 def _dominated_2d(cols: np.ndarray, thr: np.ndarray) -> np.ndarray:
-    """Rows of the (n, 2) sample ``cols`` at or below each threshold pair.
+    """Rows of the (n, 2) sample ``cols`` at or below each finite threshold pair.
 
-    Rows sorted by coordinate 1 give each query a prefix length p, and
-    coordinate-2 ranks a rank bound r; its count is #{pos < p, rank < r}.
-    Positions and ranks are cut into blocks of s, about sqrt(n)/2. A
-    cumulative (n/s + 1)^2 table answers the aligned part, pos < s*(p//s)
-    and rank < s*(r//s). Two strips of fewer than s rows complete it: the
-    partial position block, checked on rank, and the partial rank block,
-    checked on position. That is O(n log n + q (log n + s)) time, and the
-    strips run over fixed-size query chunks, so extra memory is O(n + q).
+    Sorted by the first coordinate t1, the (q, 2) queries ``thr`` have
+    their second coordinate t2 clamped to its running minimum m, so that
+    along them t1 never falls and m never rises. A row x is at or below
+    the clamped queries s >= hi in its first coordinate, where
+    hi = #{t1 < x1}, and the queries s < lo in its second, where
+    lo = #{m >= x2}: exactly the queries hi <= s < lo count it. Since
+    hi = q - #{-t1 <= -x1} and lo = #{-m <= -x2}, ``_count_at_or_below``
+    gives both under its tie and nan rules, and one difference array,
+    summed, gives every clamped count. A query with t2 above its clamp
+    also counts its strip, the rows with m < x2 <= t2 and x1 <= t1, which
+    two binary searches find in the order of -x2 that the second count
+    sorted. On an arc of extrapolated thresholds few queries have a
+    strip: where one angle component rounds to 1, queries share one
+    coordinate to within ulps while the other still varies. There the
+    kernel takes O((n + q) log(n + q)) time and O(n + q) extra memory;
+    elsewhere the strips add their total length, up to q n.
     """
-    n = cols.shape[0]
     q = thr.shape[0]
-    by_x1, p = _count_at_or_below(cols[:, 0], thr[:, 0], order=True)
-    by_x2, r = _count_at_or_below(cols[:, 1], thr[:, 1], order=True)
-    p, r = p.astype(np.int32), r.astype(np.int32)
-    s = _block_size(n)
-    nb = n // s + 1
-    # rank_at[pos] is the rank of the row at a position and pos_at[rank]
-    # the position of the row of a rank, both padded to nb blocks of s
-    rank = np.empty(n, dtype=np.int32)
-    rank[by_x2] = np.arange(n, dtype=np.int32)
-    rank_at = np.zeros(nb * s, dtype=np.int32)
-    rank_at[:n] = rank[by_x1]
-    # freed before the table's int64 counts, the kernel's largest array
-    del by_x1, by_x2, rank
-    pos_at = np.zeros(nb * s, dtype=np.int32)
-    pos_at[rank_at[:n]] = np.arange(n, dtype=np.int32)
-    # table[a, b] = #{pos < a s, rank < b s}
-    cells = np.bincount(np.arange(n, dtype=np.int32) // s * nb + rank_at[:n] // s,
-                        minlength=nb * nb)
-    cells = cells.reshape(nb, nb)
-    np.cumsum(cells, axis=0, out=cells)
-    table = np.zeros((nb + 1, nb + 1), dtype=np.int32)
-    inner = table[1:, 1:]
-    inner[...] = cells
-    del cells
-    np.cumsum(inner, axis=1, out=inner)
-    p_blk, p_rem = np.divmod(p, s)
-    r_blk, r_rem = np.divmod(r, s)
-    out = table[p_blk, r_blk].astype(np.int64)
-    # the strips: positions p_blk s + j and ranks r_blk s + j for j < s;
-    # a float32 product with ones counts each query's hits, exactly, since
-    # no count reaches 2^24
-    rank_blocks = rank_at.reshape(nb, s)
-    pos_blocks = pos_at.reshape(nb, s)
-    p_low = p_blk * s
-    step = np.arange(s, dtype=np.int32)
-    ones = np.ones(s, dtype=np.float32)
-    chunk = max(1, min(q, _STRIP_CELLS // s))
-    val_buf = np.empty((chunk, s), dtype=np.int32)
-    hit_buf = np.empty((chunk, s), dtype=bool)
-    in_buf = np.empty((chunk, s), dtype=bool)
-    f32_buf = np.empty((chunk, s), dtype=np.float32)
-    for c in range(0, q, chunk):
-        sl = slice(c, c + chunk)
-        m = min(chunk, q - c)
-        val, hit, inside, hit32 = val_buf[:m], hit_buf[:m], in_buf[:m], f32_buf[:m]
-        # positions below p in p's block, counted where their rank is below r
-        np.take(rank_blocks, p_blk[sl], axis=0, out=val, mode="clip")
-        np.less(val, r[sl, None], out=hit)
-        np.less(step, p_rem[sl, None], out=inside)
-        np.logical_and(hit, inside, out=hit32)
-        found = hit32 @ ones
-        # ranks below r in r's block, counted where their position is below
-        # p's block
-        np.take(pos_blocks, r_blk[sl], axis=0, out=val, mode="clip")
-        np.less(val, p_low[sl, None], out=hit)
-        np.less(step, r_rem[sl, None], out=inside)
-        np.logical_and(hit, inside, out=hit32)
-        found += hit32 @ ones
-        out[sl] += found.astype(np.int64)
+    by_t1 = np.argsort(thr[:, 0])
+    hi = q - _count_at_or_below(-thr[by_t1, 0], -cols[:, 0])[1]
+    t2 = thr[by_t1, 1]
+    neg_m = -np.fmin.accumulate(t2)
+    above = np.flatnonzero(t2 > -neg_m)
+    del t2
+    neg_x2 = -cols[:, 1]
+    by_x2, lo = _count_at_or_below(neg_m, neg_x2)
+    # a row with lo <= hi is below no query
+    np.maximum(lo, hi, out=lo)
+    delta = np.bincount(hi, minlength=q + 1) - np.bincount(lo, minlength=q + 1)
+    counts = np.cumsum(delta[:q])
+    if above.size:
+        # strip rows are the places -t2 <= -x2 < -m of -x2's ascending order
+        t = thr[by_t1[above]]
+        start = np.searchsorted(neg_x2, -t[:, 1], sorter=by_x2)
+        stop = np.searchsorted(neg_x2, neg_m[above], sorter=by_x2)
+        counts[above] += _strip_counts(cols[:, 0], by_x2, start, stop, t[:, 0])
+    out = np.empty(q, dtype=np.int64)
+    out[by_t1] = counts
+    return out
+
+
+def _strip_counts(x1: np.ndarray, order: np.ndarray, start: np.ndarray,
+                  stop: np.ndarray, t1: np.ndarray) -> np.ndarray:
+    """#{i in [start, stop) : x1[order[i]] <= t1} for each strip; a nan never exceeds.
+
+    The strips are gathered a chunk at a time, each of at most
+    ``_CHUNK_CELLS`` rows unless one strip alone is longer.
+    """
+    out = np.zeros(start.size, dtype=np.int64)
+    length = stop - start
+    strips = np.flatnonzero(length)
+    ends = np.cumsum(length[strips])
+    i = 0
+    while i < strips.size:
+        base = ends[i] - length[strips[i]]
+        j = max(i + 1, int(np.searchsorted(ends, base + _CHUNK_CELLS, side="right")))
+        s = strips[i:j]
+        first = ends[i:j] - length[s] - base
+        # the places of each strip in turn
+        at = np.arange(ends[j - 1] - base)
+        at += np.repeat(start[s] - first, length[s])
+        at = order.take(at)
+        x = x1.take(at)
+        del at
+        exceeds = np.greater(x, np.repeat(t1[s], length[s]))
+        del x
+        out[s] = length[s] - np.add.reduceat(exceeds, first)
+        i = j
     return out
 
 

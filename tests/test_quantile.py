@@ -272,6 +272,48 @@ class TestFitDirection:
         assert np.array_equal(fitted.levels(sample_2d),
                               flag_outliers(sample_2d, u, 0.01, k=200).alpha_z)
 
+    @settings(max_examples=30, deadline=None)
+    @given(data_seed=st.integers(0, 2**32 - 1), n=st.integers(512, 2000),
+           k=st.sampled_from([20, 50, 100]), m=st.integers(-4, 4).filter(bool),
+           explicit=st.booleans())
+    def test_power_of_two_scaling_scales_fit_and_surface(
+            self, params_2d, data_seed, n, k, m, explicit):
+        # Scaling by 2^m is exact in the rotation, the order statistics and
+        # b, but the moment estimator's logs move in the last bit: over
+        # 124 draws and m in [-4, 4], gamma moved by a relative 7e-13, a by
+        # 2.4e-15 and the surface points by 5.5e-12, and no radius changed.
+        u = Direction.from_vector([0.8, -0.6]) if explicit else diagonal_direction(2)
+        x = sample_t(params_2d, n, data_seed)
+        grid = theta_grid(2, 128)
+        try:
+            base = quantile.fit_direction(x, u, k)
+            surf = base.surface(1e-4, grid)
+        except DirquantError:
+            return
+        c = 2.0 ** m
+        scaled = quantile.fit_direction(c * x, u, k)
+        scaled_surf = scaled.surface(1e-4, grid)
+        assert np.array_equal(scaled.context.rotated_sample, c * base.context.rotated_sample)
+        assert scaled.fit.k == k
+        assert np.allclose(scaled.fit.gamma_marginal, base.fit.gamma_marginal,
+                           rtol=1e-10, atol=1e-13)
+        assert np.array_equal(scaled.fit.b, c * base.fit.b)
+        assert np.allclose(scaled.fit.a, c * base.fit.a, rtol=1e-13, atol=0.0)
+        assert np.array_equal(scaled_surf.rho, surf.rho)
+        assert np.array_equal(scaled_surf.floored, surf.floored)
+        assert np.allclose(scaled_surf.x_original, c * surf.x_original, rtol=1e-10, atol=0.0)
+
+    @settings(max_examples=10, deadline=None)
+    @given(data_seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1000, 2000]),
+           m=st.integers(-4, 4).filter(bool))
+    def test_power_of_two_scaling_keeps_auto_k(self, params_2d, data_seed, n, m):
+        # held on 60 draws at every m in [-4, 4] when checked by hand
+        from dirquant import select_k
+
+        z = rotate(rotation_for(diagonal_direction(2)), sample_t(params_2d, n, data_seed))
+        assert (select_k(2.0 ** m * z, b1=200, seed=7).k_hat
+                == select_k(z, b1=200, seed=7).k_hat)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
         "entry", ["estimate", "flag", "fit", "select_k", "optimal_k_for_size", "levels"]
@@ -351,20 +393,21 @@ class TestTailLevel:
            alpha=st.sampled_from([1e-5, 1e-4, 1e-3]), explicit=st.booleans())
     def test_unfloored_surface_points_invert_on_the_chain_path(
             self, params_2d, data_seed, n, m, k, alpha, explicit):
-        # 512 rows or more and 128 angles or more count along the threshold
-        # chain. The inversion is not bit for bit: the round trip through
-        # the rotation, the Frechet weights and their norm moves alpha_z by
-        # a few ulps. A count off by one would move it by 1/count >= 1/n.
+        # 512 rows or more and 128 angles or more count along the clamped
+        # threshold chain. The inversion is not bit for bit: the round trip
+        # through the rotation, the Frechet weights and their norm moves
+        # alpha_z by a few ulps. A count off by one would move it by
+        # 1/count >= 1/n.
         u = Direction.from_vector([0.8, -0.6]) if explicit else diagonal_direction(2)
         try:
             fitted = quantile.fit_direction(sample_t(params_2d, n, data_seed), u, k)
-            with mock.patch.object(stdf, "_dominated_chain",
-                                   wraps=stdf._dominated_chain) as chain:
+            with mock.patch.object(stdf, "_dominated_2d",
+                                   wraps=stdf._dominated_2d) as kernel:
                 surf = fitted.surface(alpha, theta_grid(2, m))
                 levels = fitted.levels(surf.x_original)
         except DirquantError:
             return
-        assert chain.call_count == 2
+        assert kernel.call_count == 2
         unfloored = ~surf.floored
         assert np.allclose(levels[unfloored], alpha, rtol=1e-12, atol=0.0)
 

@@ -167,11 +167,12 @@ class TestUnionExceedanceCounts:
 # values check strict comparison against infinities and that nan is never
 # exceeded (nor exceeds).
 _CELL = st.sampled_from([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, np.inf, -np.inf, np.nan])
-# row counts around the squares (2s)^2 at which the 2-D kernel's block
-# size steps from s - 1 to s, and a few multiples of the block size
-_ROWS = st.one_of(st.sampled_from([0, 1, 2, 3, 4, 5, 15, 16, 17, 35, 36, 37, 63, 64, 65,
-                                   99, 100, 101, 20, 42, 48]),
-                  st.integers(0, 110))
+_ROWS = st.integers(0, 110)
+
+
+def finite_queries(thresholds):
+    """The thresholds finite in every coordinate, which the 2-D kernel takes."""
+    return thresholds[np.isfinite(thresholds).all(axis=1)]
 
 
 def sorted_counts(sample, thresholds):
@@ -194,6 +195,28 @@ def tied_special_draw(rng, n, q):
     return sample, thresholds
 
 
+class StripProbe:
+    """The queries above their clamp, and their strip rows, per 2-D kernel call."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        real = stdf._strip_counts
+
+        def spy(x1, order, start, stop, t1):
+            self.calls.append((start.size, int((stop - start).sum())))
+            return real(x1, order, start, stop, t1)
+
+        monkeypatch.setattr(stdf, "_strip_counts", spy)
+
+    @property
+    def above(self):
+        return sum(c[0] for c in self.calls)
+
+    @property
+    def rows(self):
+        return sum(c[1] for c in self.calls)
+
+
 class TestSortedCounting:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 2), _ROWS, st.integers(0, 40), st.data())
@@ -201,36 +224,11 @@ class TestSortedCounting:
         sample = np.array(data.draw(st.lists(_CELL, min_size=n * d, max_size=n * d)))
         thresholds = np.array(data.draw(st.lists(_CELL, min_size=q * d, max_size=q * d)))
         sample, thresholds = sample.reshape(n, d), thresholds.reshape(q, d)
+        if d == 2:
+            thresholds = finite_queries(thresholds)
         counts = sorted_counts(sample, thresholds)
         assert counts.dtype == np.int64
         assert counts.tolist() == [counting_oracle(sample, t) for t in thresholds]
-
-    @pytest.mark.parametrize("block", [1, 7, 64])
-    def test_forced_block_sizes_match_comparison(self, block, monkeypatch):
-        # strips of up to 63 rows, and chunks of 3 queries, the last partial
-        monkeypatch.setattr(stdf, "_block_size", lambda n: block)
-        monkeypatch.setattr(stdf, "_STRIP_CELLS", 3 * block)
-        rng = np.random.default_rng(block)
-        for n, q in [(1, 5), (block, 40), (block + 1, 40), (3 * block - 1, 100), (700, 301)]:
-            sample, thresholds = tied_special_draw(rng, n, q)
-            got = sorted_counts(sample, thresholds)
-            assert np.array_equal(got, stdf._exceedances_by_comparison(sample, thresholds))
-
-    def test_peak_memory_is_linear_in_rows(self):
-        # n = 1e5 rows and 0.78 n queries, the flag shape. The kernel traced
-        # 62 bytes per row at its peak with numpy 2.4, 32 of them the block
-        # table's int64 counts.
-        rng = np.random.default_rng(3)
-        n = 100_000
-        sample = rng.standard_t(3, (n, 2))
-        thresholds = rng.standard_t(3, (int(0.78 * n), 2))
-        tracemalloc.start()
-        try:
-            stdf._dominated_2d(sample, thresholds)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 80 * n
 
     @pytest.mark.parametrize("d, n, q, sorted_path", [
         (1, 300, 15, False), (1, 300, 16, True),
@@ -243,10 +241,11 @@ class TestSortedCounting:
     def test_chosen_path_matches_comparison(self, d, n, q, sorted_path, monkeypatch):
         compare = stdf._exceedances_by_comparison
         ran = []
-        for name in ("_dominated_chain", "_dominated_2d", "_exceedances_by_comparison"):
+        for name in ("_dominated_2d", "_exceedances_by_comparison"):
             real = getattr(stdf, name)
             monkeypatch.setattr(stdf, name, lambda s, t, real=real, name=name:
                                 ran.append((name, t)) or real(s, t))
+        strips = StripProbe(monkeypatch)
         rng = np.random.default_rng(n + q + d)
         cases = [
             (rng.standard_t(3, (n, d)), rng.standard_t(3, (q, d))),
@@ -255,10 +254,14 @@ class TestSortedCounting:
         ]
         for sample, thresholds in cases:
             thresholds[::7] = sample[rng.integers(0, n, thresholds[::7].shape[0])]
+        # non-finite thresholds in one coordinate of the integer case
+        cases[1][1][3::11, 0] = np.inf
+        cases[1][1][5::13, -1] = np.nan
         if d == 2:
             cases.append((rng.standard_t(3, (n, d)), arc_thresholds(rng, q)))
         for i, (sample, thresholds) in enumerate(cases):
             ran.clear()
+            strips.calls.clear()
             got = stdf.union_exceedance_counts(sample, thresholds)
             assert got.dtype == np.int64
             assert np.array_equal(got, compare(sample, thresholds))
@@ -268,16 +271,16 @@ class TestSortedCounting:
             elif d == 1:
                 assert kernels == {}
             else:
-                chain = ran[0][1]
-                assert ran[0][0] == "_dominated_chain" and np.isfinite(chain).all()
-                assert (np.diff(chain[:, 0]) >= 0).all() and (np.diff(chain[:, 1]) <= 0).all()
-                # the rest take the block table from 128 queries on
-                rest = q - chain.shape[0]
-                general = "_dominated_2d" if rest >= 128 else "_exceedances_by_comparison"
-                assert kernels == {"_dominated_chain": q - rest, **({general: rest} if rest else {})}
+                # every finite query takes the 2-D kernel, every other one
+                # the comparison
+                finite = int(np.isfinite(thresholds).all(axis=1).sum())
+                assert kernels == {"_dominated_2d": finite,
+                                   **({"_exceedances_by_comparison": q - finite}
+                                      if finite < q else {})}
+                assert all(np.isfinite(t).all() for name, t in ran if name == "_dominated_2d")
                 if i == 2:
-                    # an arc leaves at most a few rounding violators
-                    assert rest <= q // 500 + 1
+                    # an arc leaves at most a few queries above their clamp
+                    assert strips.above <= q // 500 + 1
 
 
 def arc_thresholds(rng, q):
@@ -290,24 +293,40 @@ def arc_thresholds(rng, q):
 
 
 class TestChainCounting:
+    """The 2-D kernel: the clamped chain plus the strips above it."""
+
     @settings(max_examples=300, deadline=None)
     @given(_ROWS, st.integers(0, 40), st.data())
     def test_matches_counting_oracle(self, n, q, data):
-        # every query the split puts on the chain, ties, infinities and nan
+        # random finite queries have wide strips; ties, infinities and nan
         # in the sample included
         sample = np.array(data.draw(st.lists(_CELL, min_size=2 * n, max_size=2 * n)))
         thresholds = np.array(data.draw(st.lists(_CELL, min_size=2 * q, max_size=2 * q)))
-        sample, thresholds = sample.reshape(n, 2), thresholds.reshape(q, 2)
-        chain, rest = stdf._threshold_chain(thresholds)
-        assert sorted(chain.tolist() + rest.tolist()) == list(range(q))
-        counts = n - stdf._dominated_chain(sample, thresholds[chain])
-        assert counts.tolist() == [counting_oracle(sample, t) for t in thresholds[chain]]
+        sample = sample.reshape(n, 2)
+        thresholds = finite_queries(thresholds.reshape(q, 2))
+        counts = n - stdf._dominated_2d(sample, thresholds)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [counting_oracle(sample, t) for t in thresholds]
 
-    def test_ulp_violators_ties_and_special_values(self):
+    def test_strips_in_small_chunks_match_comparison(self, monkeypatch):
+        # chunks of at most 7 strip rows, and strips longer than a chunk
+        monkeypatch.setattr(stdf, "_CHUNK_CELLS", 7)
+        strips = StripProbe(monkeypatch)
+        rng = np.random.default_rng(8)
+        for n, q in [(1, 5), (40, 40), (700, 301)]:
+            for sample, thresholds in [tied_special_draw(rng, n, q),
+                                       (rng.standard_t(3, (n, 2)), rng.standard_t(3, (q, 2)))]:
+                thresholds = finite_queries(thresholds)
+                got = sorted_counts(sample, thresholds)
+                assert np.array_equal(got, stdf._exceedances_by_comparison(sample, thresholds))
+        assert strips.rows > 100 * strips.above > 0
+
+    def test_ulp_violators_ties_and_special_values(self, monkeypatch):
         # an arc plus copies of its points moved by up to 3 ulps either way
         # in each coordinate, rows equal to thresholds or sharing one
-        # coordinate, and nan or +-inf on both sides: the queries the chain
-        # leaves, finite ones included, are counted by the fallback
+        # coordinate, and nan or +-inf on both sides: the finite queries
+        # that rounded above their clamp count their strips, the others
+        # are compared
         rng = np.random.default_rng(21)
         n, q = 700, 300
         arc = arc_thresholds(rng, 200)
@@ -321,25 +340,42 @@ class TestChainCounting:
         for a in (sample, thresholds):
             special = rng.random(a.shape) < 0.02
             a[special] = rng.choice([np.nan, np.inf, -np.inf], special.sum())
-        chain, rest = stdf._threshold_chain(thresholds)
-        assert np.isfinite(thresholds[chain]).all() and chain.size > q // 2
-        assert np.isfinite(thresholds[rest]).all(axis=1).sum() >= 10
+        strips = StripProbe(monkeypatch)
         got = stdf.union_exceedance_counts(sample, thresholds)
+        assert len(strips.calls) == 1 and strips.above >= 10
+        assert not np.isfinite(thresholds).all(axis=1).all()
         assert np.array_equal(got, stdf._exceedances_by_comparison(sample, thresholds))
         assert got.tolist() == [counting_oracle(sample, t) for t in thresholds]
 
     def test_peak_memory_is_linear_in_rows_and_queries(self):
         # n = 1e5 rows and an arc of q = 0.78 n queries, the flag shape. The
-        # kernel traced 31 bytes per row and query at its peak with numpy 2.4.
+        # kernel traced 36 bytes per row and query at its peak with numpy 2.4.
         rng = np.random.default_rng(3)
         n, q = 100_000, 78_000
         sample = rng.standard_t(3, (n, 2))
         thresholds = arc_thresholds(rng, q)
-        chain = thresholds[stdf._threshold_chain(thresholds)[0]]
         tracemalloc.start()
         try:
-            stdf._dominated_chain(sample, chain)
+            stdf._dominated_2d(sample, thresholds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 40 * (n + q)
+
+    def test_peak_memory_of_wide_strips_is_bounded_by_chunks(self, monkeypatch):
+        # random queries: 5.9 M strip rows over n = 3000, gathered in
+        # chunks of at most 2 M rows. The kernel traced 36 MB at its peak
+        # with numpy 2.4.
+        rng = np.random.default_rng(4)
+        n, q = 3000, 4000
+        sample = rng.standard_t(3, (n, 2))
+        thresholds = rng.standard_t(3, (q, 2))
+        strips = StripProbe(monkeypatch)
+        tracemalloc.start()
+        try:
+            stdf._dominated_2d(sample, thresholds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert strips.rows > 2 * stdf._CHUNK_CELLS
+        assert peak < 48_000_000
