@@ -165,10 +165,7 @@ def parse_direction(text: str, d: int, sample: Optional[np.ndarray] = None,
         if sample is None:
             raise ValueError("fpc direction needs data or model parameters")
         return fpc_direction(np.cov(sample.T))
-    try:
-        vec = np.array([float(c) for c in text.split(",")], dtype=float)
-    except ValueError:
-        raise ValueError(f"cannot parse direction {text!r}") from None
+    vec = _parse_floats(text, "--direction")
     if vec.size != d:
         raise ValueError(f"direction has {vec.size} components, data has d={d}")
     return Direction.from_vector(vec)

@@ -10,12 +10,13 @@ A row fails to exceed a threshold vector exactly when it is componentwise
 count is a binary search in the sorted column. For d = 2 and enough
 queries, the thresholds extrapolated from unit angles lie on one monotone
 arc: sorted by the first coordinate, the second never rises, up to
-rounding. ``_dominated_2d`` clamps the second coordinate of the finite
-queries to its running minimum, counts the clamped chain with one
-interval per row, and adds, for each query above its clamp, the rows of
-the strip between the two. On an arc that takes O((n + q) log(n + q))
-time and O(n + q) extra memory. Non-finite thresholds, fewer queries and
-d >= 3 compare every query with every row, in O(q n d) time.
+rounding. ``_dominated_2d`` clamps the second coordinate of the queries
+to its running minimum, counts the clamped chain with one interval per
+row, and adds, for each query above its clamp, the rows of the strip
+between the two. Infinite and nan thresholds take the same route, a nan
+as +inf. On an arc that takes O((n + q) log(n + q)) time and O(n + q)
+extra memory. Fewer queries and d >= 3 compare every query with every
+row, in O(q n d) time.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ def union_exceedance_counts(sample: np.ndarray, thresholds: np.ndarray) -> np.nd
     ``thresholds`` has shape (q, d); returns integer counts of length q.
     Exceedance is strict, and a nan threshold is never exceeded. One- and
     two-dimensional samples with many queries are counted through sorted
-    coordinates, in 2-D the finite queries only; other inputs compare
-    every query with every row.
+    coordinates, non-finite queries included; other inputs compare every
+    query with every row.
     """
     sample = np.asarray(sample, dtype=float)
     thr = np.atleast_2d(np.asarray(thresholds, dtype=float))
@@ -85,13 +86,7 @@ def union_exceedance_counts(sample: np.ndarray, thresholds: np.ndarray) -> np.nd
     if d == 1 and q >= 16:
         return n - _count_at_or_below(sample[:, 0], thr[:, 0])[1]
     if d == 2 and q >= 128 and n >= 512:
-        finite = np.isfinite(thr[:, 0]) & np.isfinite(thr[:, 1])
-        if finite.all():
-            return n - _dominated_2d(sample, thr)
-        out = np.empty(q, dtype=np.int64)
-        out[~finite] = _exceedances_by_comparison(sample, thr[~finite])
-        out[finite] = n - _dominated_2d(sample, thr[finite])
-        return out
+        return n - _dominated_2d(sample, thr)
     return _exceedances_by_comparison(sample, thr)
 
 
@@ -141,7 +136,7 @@ def _count_at_or_below(col: np.ndarray, t: np.ndarray):
 
 
 def _dominated_2d(cols: np.ndarray, thr: np.ndarray) -> np.ndarray:
-    """Rows of the (n, 2) sample ``cols`` at or below each finite threshold pair.
+    """Rows of the (n, 2) sample ``cols`` at or below each threshold pair.
 
     Sorted by the first coordinate t1, the (q, 2) queries ``thr`` have
     their second coordinate t2 clamped to its running minimum m, so that
@@ -154,18 +149,23 @@ def _dominated_2d(cols: np.ndarray, thr: np.ndarray) -> np.ndarray:
     summed, gives every clamped count. A query with t2 above its clamp
     also counts its strip, the rows with m < x2 <= t2 and x1 <= t1, which
     two binary searches find in the order of -x2 that the second count
-    sorted. On an arc of extrapolated thresholds few queries have a
-    strip: where one angle component rounds to 1, queries share one
-    coordinate to within ulps while the other still varies. There the
-    kernel takes O((n + q) log(n + q)) time and O(n + q) extra memory;
-    elsewhere the strips add their total length, up to q n.
+    sorted. A nan t2 is clamped as +inf, which it stands for; a nan t1
+    sorts as +inf, and no x1 exceeds it in a strip. On an arc of
+    extrapolated thresholds few queries have a strip: where one angle
+    component rounds to 1, queries share one coordinate to within ulps
+    while the other still varies. There the kernel takes
+    O((n + q) log(n + q)) time and O(n + q) extra memory; elsewhere the
+    strips add their total length, up to q n.
     """
     q = thr.shape[0]
     by_t1 = np.argsort(thr[:, 0])
     hi = q - _count_at_or_below(-thr[by_t1, 0], -cols[:, 0])[1]
     t2 = thr[by_t1, 1]
+    # fmin would skip a nan, which must clamp as the +inf it stands for
+    t2[np.isnan(t2)] = np.inf
     neg_m = -np.fmin.accumulate(t2)
     above = np.flatnonzero(t2 > -neg_m)
+    neg_t2 = -t2[above]
     del t2
     neg_x2 = -cols[:, 1]
     by_x2, lo = _count_at_or_below(neg_m, neg_x2)
@@ -175,10 +175,10 @@ def _dominated_2d(cols: np.ndarray, thr: np.ndarray) -> np.ndarray:
     counts = np.cumsum(delta[:q])
     if above.size:
         # strip rows are the places -t2 <= -x2 < -m of -x2's ascending order
-        t = thr[by_t1[above]]
-        start = np.searchsorted(neg_x2, -t[:, 1], sorter=by_x2)
+        start = np.searchsorted(neg_x2, neg_t2, sorter=by_x2)
         stop = np.searchsorted(neg_x2, neg_m[above], sorter=by_x2)
-        counts[above] += _strip_counts(cols[:, 0], by_x2, start, stop, t[:, 0])
+        counts[above] += _strip_counts(cols[:, 0], by_x2, start, stop,
+                                       thr[by_t1[above], 0])
     out = np.empty(q, dtype=np.int64)
     out[by_t1] = counts
     return out

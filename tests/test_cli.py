@@ -616,6 +616,16 @@ class TestExitCodes:
         assert err == {"error": "ValueError", "message": message}
         assert not out.exists()
 
+    def test_unparsable_direction_component(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        argv = required_argv("oracle-t") + ["--k", "100", "--direction", "1,x",
+                                            "--output", str(out)]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": "cannot parse --direction component 2: 'x'"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", sorted(REQUIRED))
     def test_workers_option_rejected(self, command, tmp_path, capsys):
         argv = required_argv(command)

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import dirquant
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def library_example() -> str:
@@ -22,3 +23,9 @@ def test_readme_library_example_runs(capsys):
     assert namespace["s1"].k == namespace["fitted"].fit.k
     assert namespace["levels"].shape == (10,)
     assert capsys.readouterr().out
+
+
+def test_readme_names_only_existing_scripts():
+    names = set(re.findall(r"scripts/([\w-]+)\.py", README.read_text(encoding="utf-8")))
+    assert names
+    assert sorted(n for n in names if not (ROOT / "scripts" / f"{n}.py").is_file()) == []

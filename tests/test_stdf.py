@@ -170,11 +170,6 @@ _CELL = st.sampled_from([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, np.inf, -np.inf, 
 _ROWS = st.integers(0, 110)
 
 
-def finite_queries(thresholds):
-    """The thresholds finite in every coordinate, which the 2-D kernel takes."""
-    return thresholds[np.isfinite(thresholds).all(axis=1)]
-
-
 def sorted_counts(sample, thresholds):
     """Union counts from the sorted kernel of the sample's dimension."""
     n, d = sample.shape
@@ -224,8 +219,6 @@ class TestSortedCounting:
         sample = np.array(data.draw(st.lists(_CELL, min_size=n * d, max_size=n * d)))
         thresholds = np.array(data.draw(st.lists(_CELL, min_size=q * d, max_size=q * d)))
         sample, thresholds = sample.reshape(n, d), thresholds.reshape(q, d)
-        if d == 2:
-            thresholds = finite_queries(thresholds)
         counts = sorted_counts(sample, thresholds)
         assert counts.dtype == np.int64
         assert counts.tolist() == [counting_oracle(sample, t) for t in thresholds]
@@ -271,13 +264,8 @@ class TestSortedCounting:
             elif d == 1:
                 assert kernels == {}
             else:
-                # every finite query takes the 2-D kernel, every other one
-                # the comparison
-                finite = int(np.isfinite(thresholds).all(axis=1).sum())
-                assert kernels == {"_dominated_2d": finite,
-                                   **({"_exceedances_by_comparison": q - finite}
-                                      if finite < q else {})}
-                assert all(np.isfinite(t).all() for name, t in ran if name == "_dominated_2d")
+                # every query takes the 2-D kernel, inf and nan included
+                assert kernels == {"_dominated_2d": q}
                 if i == 2:
                     # an arc leaves at most a few queries above their clamp
                     assert strips.above <= q // 500 + 1
@@ -298,12 +286,11 @@ class TestChainCounting:
     @settings(max_examples=300, deadline=None)
     @given(_ROWS, st.integers(0, 40), st.data())
     def test_matches_counting_oracle(self, n, q, data):
-        # random finite queries have wide strips; ties, infinities and nan
-        # in the sample included
+        # random queries have wide strips; ties, infinities and nan on both
+        # sides included
         sample = np.array(data.draw(st.lists(_CELL, min_size=2 * n, max_size=2 * n)))
         thresholds = np.array(data.draw(st.lists(_CELL, min_size=2 * q, max_size=2 * q)))
-        sample = sample.reshape(n, 2)
-        thresholds = finite_queries(thresholds.reshape(q, 2))
+        sample, thresholds = sample.reshape(n, 2), thresholds.reshape(q, 2)
         counts = n - stdf._dominated_2d(sample, thresholds)
         assert counts.dtype == np.int64
         assert counts.tolist() == [counting_oracle(sample, t) for t in thresholds]
@@ -316,7 +303,6 @@ class TestChainCounting:
         for n, q in [(1, 5), (40, 40), (700, 301)]:
             for sample, thresholds in [tied_special_draw(rng, n, q),
                                        (rng.standard_t(3, (n, 2)), rng.standard_t(3, (q, 2)))]:
-                thresholds = finite_queries(thresholds)
                 got = sorted_counts(sample, thresholds)
                 assert np.array_equal(got, stdf._exceedances_by_comparison(sample, thresholds))
         assert strips.rows > 100 * strips.above > 0
@@ -324,9 +310,9 @@ class TestChainCounting:
     def test_ulp_violators_ties_and_special_values(self, monkeypatch):
         # an arc plus copies of its points moved by up to 3 ulps either way
         # in each coordinate, rows equal to thresholds or sharing one
-        # coordinate, and nan or +-inf on both sides: the finite queries
-        # that rounded above their clamp count their strips, the others
-        # are compared
+        # coordinate, and nan or +-inf on both sides: the queries that
+        # rounded above their clamp, or whose nan or inf second coordinate
+        # lies above it, count their strips
         rng = np.random.default_rng(21)
         n, q = 700, 300
         arc = arc_thresholds(rng, 200)
