@@ -314,8 +314,9 @@ def bench_cli_io(args) -> dict:
 
     - ``parse_csv``: a 10 000-row 2-D file of 17-digit cells with a header
       line, as the benchmark in ``perfbench/`` writes its inputs;
-    - ``surface_json``: ``_json_text`` on the 64-point surface that
-      ``oracle-t --grid 8`` writes for the paper's 3-D model;
+    - ``surface_json``: ``_json_text``, the standard library's C encoder,
+      on the 64-point surface that ``oracle-t --grid 8`` writes for the
+      paper's 3-D model;
     - ``flag_csv`` and ``flag_json``: the ``flag`` command on 10 000 rows
       of the bivariate t model (nu=3, correlation 0.9) at k=200, with its
       reading and ``flag_outliers`` replaced by their precomputed results,

@@ -49,6 +49,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    DataError,
     NonFiniteCorrectionWarning,
     ResamplingError,
     SmallSampleWarning,
@@ -482,11 +483,14 @@ def select_k(
 
     Falls back to k = floor(sqrt(n)) with a warning for n below
     2000/2^d, where the resample sizes are too small for the two-stage
-    procedure to be meaningful.
+    procedure to be meaningful. DataError below 3 rows, where no k lies
+    in [2, n - 1].
     """
     sample = _as_columns(rotated_sample)
     _require_finite(sample)
     n, d = sample.shape
+    if n < 3:
+        raise DataError(f"need at least 3 rows to select k in [2, n - 1], got {n}")
     if not (0.0 < epsilon < 0.5):
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon!r}")
     m1 = int(math.floor(n ** (1.0 - epsilon)))

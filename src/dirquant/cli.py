@@ -28,15 +28,12 @@ import warnings
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Optional
 
 import numpy as np
 
 from .bootstrap import select_k
 from .errors import DataError, DirquantError, NumericalError
-from .evt import extrapolate
 from .geometry import Direction, diagonal_direction, rotate, rotation_for
 from .quantile import (
     QuantileSurface,
@@ -46,15 +43,7 @@ from .quantile import (
     theta_grid,
 )
 from .study import StudyResult, run_study
-from .tmodel import (
-    ModelFit,
-    TParams,
-    fpc_direction,
-    rotate_elliptical,
-    sample_t,
-    theoretical_norm_sequences,
-    theoretical_rho,
-)
+from .tmodel import ModelFit, TParams, fpc_direction, model_oracle, sample_t
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +197,8 @@ def _parse_model(cfg: RunConfig) -> TParams:
 # A CSV float cell: 17 significant digits round-trip every float64, and
 # inf prints as "inf".
 _CELL = "%.17g"
-# bools and None as CSV and JSON write them
-_LITERALS = {True: "true", False: "false", None: "null"}
+# bools as CSV writes them
+_LITERALS = {True: "true", False: "false"}
 
 
 def _fmt(x: float) -> str:
@@ -217,17 +206,17 @@ def _fmt(x: float) -> str:
     return _CELL % x
 
 
-def _filled(template: str, sep: str, width: int, rows) -> str:
-    """``template`` once per row of ``width`` values, joined by ``sep`` and
-    filled by one % call, so that no string is built per row."""
+def _filled(template: str, width: int, rows) -> str:
+    """``template`` once per row of ``width`` values, filled by one % call,
+    so that no string is built per row."""
     values = tuple(chain.from_iterable(rows))
-    return sep.join([template] * (len(values) // width)) % values
+    return "".join([template] * (len(values) // width)) % values
 
 
 def _csv_text(header: list[str], cells: list[str], rows) -> str:
     """CSV text: the header line, then one line per row tuple, whose entries
     are written by the %-formats in ``cells`` (``_CELL`` for a float)."""
-    return ",".join(header) + "\n" + _filled(",".join(cells) + "\n", "", len(cells), rows)
+    return ",".join(header) + "\n" + _filled(",".join(cells) + "\n", len(cells), rows)
 
 
 def surface_doc_to_csv(doc: dict) -> str:
@@ -264,112 +253,10 @@ def _write_text(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
-class _NoTemplate(Exception):
-    """A value the JSON templates do not cover."""
-
-
-_NONE = type(None)
-
-
 def _json_text(doc) -> str:
-    """``json.dumps(doc, indent=2, allow_nan=False) + "\\n"``, byte for byte.
-
-    With ``indent``, ``json.dumps`` runs CPython's pure-Python encoder.
-    Here each list of same-shaped values (surface points, flag rows, float
-    lists) is written from one %-template built for its shape, whose leaves
-    print as the encoder prints them. Any other value, and any value that
-    ``json.dumps`` rejects (nan, inf, numpy integers), goes to
-    ``json.dumps`` itself, so it also raises the same errors.
-    """
-    return _encode(doc, "") + "\n"
-
-
-def _block(brackets: str, parts, ind: str) -> str:
-    """``parts`` between brackets, one per line, as the encoder indents them."""
-    inner = ind + "  "
-    return (brackets[0] + "\n" + inner + (",\n" + inner).join(parts)
-            + "\n" + ind + brackets[1])
-
-
-def _encode(o, ind: str) -> str:
-    """``o`` as the encoder writes it at indent ``ind``."""
-    inner = ind + "  "
-    if type(o) is dict and all(type(k) is str for k in o):
-        if not o:
-            return "{}"
-        return _block("{}", (encode_basestring_ascii(k) + ": " + _encode(v, inner)
-                             for k, v in o.items()), ind)
-    if type(o) is list:
-        if not o:
-            return "[]"
-        try:
-            template, columns = _template(o, inner)
-        except _NoTemplate:
-            return _block("[]", (_encode(v, inner) for v in o), ind)
-        return _block("[]", [_filled(template, ",\n" + inner, len(columns), zip(*columns))],
-                      ind)
-    try:
-        return _json_leaf(o)
-    except _NoTemplate:
-        # strings hold no raw newline, so this indents every line but the first
-        return json.dumps(o, indent=2, allow_nan=False).replace("\n", "\n" + ind)
-
-
-def _template(items: list, ind: str) -> tuple[str, list[list]]:
-    """A %-template that writes each of ``items`` at indent ``ind``, and the
-    columns of leaves that fill its slots; _NoTemplate if the items differ
-    in shape or hold a value no template covers."""
-    first = items[0]
-    inner = ind + "  "
-    if type(first) is dict and first:
-        keys = tuple(first)
-        if (set(map(type, items)) != {dict} or set(map(tuple, items)) != {keys}
-                or not all(type(k) is str for k in keys)):
-            raise _NoTemplate
-        columns = [list(map(itemgetter(k), items)) for k in keys]
-        labels = [encode_basestring_ascii(k).replace("%", "%%") + ": " for k in keys]
-        brackets = "{}"
-    elif type(first) is list and first:
-        if set(map(type, items)) != {list} or set(map(len, items)) != {len(first)}:
-            raise _NoTemplate
-        columns = list(map(list, zip(*items)))
-        labels = [""] * len(first)
-        brackets = "[]"
-    else:
-        return "%s", [_leaf_column(items)]
-    parts, leaves = [], []
-    for label, column in zip(labels, columns):
-        template, sub = _template(column, inner)
-        parts.append(label + template)
-        leaves += sub
-    return _block(brackets, parts, ind), leaves
-
-
-def _leaf_column(column: list) -> list:
-    """Scalars that print under "%s" as the encoder writes them."""
-    types = set(map(type, column))
-    if types <= {float, _NONE}:
-        # any nan or inf makes the sum non-finite; filter drops None (and 0.0)
-        if not (math.isfinite(sum(filter(None, column)))
-                or all(map(math.isfinite, filter(None, column)))):
-            raise _NoTemplate
-        return ["null" if v is None else v for v in column] if _NONE in types else column
-    if types == {bool}:
-        return list(map(_LITERALS.__getitem__, column))
-    return list(map(_json_leaf, column))
-
-
-def _json_leaf(v) -> str:
-    """A scalar as the encoder writes it."""
-    if v is None or v is True or v is False:
-        return _LITERALS[v]
-    if type(v) is str:
-        return encode_basestring_ascii(v)
-    if type(v) is int:
-        return int.__repr__(v)
-    if isinstance(v, float) and math.isfinite(v):
-        return float.__repr__(v)
-    raise _NoTemplate
+    """``doc`` as one line of JSON and a newline, from the standard
+    library's C encoder; nan and inf raise ``ValueError``."""
+    return json.dumps(doc, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +275,8 @@ class RunConfig:
 
     Each field is one option: the flag ``--`` plus its name with ``-`` for
     ``_``, and the config key of its name, on every command of
-    ``COMMANDS`` that lists it.
+    ``COMMANDS`` that lists it. A command that requires an option has no
+    default for it.
     """
 
     input: Optional[str] = _option(None, "input CSV path")
@@ -396,7 +284,8 @@ class RunConfig:
     format: str = _option("json", "output format", choices=("json", "csv"))
     direction: str = _option("e", "direction: 'e', '-e', 'fpc' or comma list")
     alpha: Optional[str] = _option(None, "level, decimal or fraction like 1/5000")
-    k: str = _option("auto", "sample fraction: integer or 'auto'")
+    k: str = _option("auto", "sample fraction: integer, or 'auto' to select it by "
+                     "bootstrap (not for oracle-t)")
     grid: int = _option(64, "grid resolution per angle", type=int)
     delta: float = _option(0.01, "grid margin in radians", type=float)
     epsilon: float = _option(0.25, "bootstrap exponent", type=float)
@@ -439,7 +328,7 @@ COMMANDS = {
     "oracle-t": ("theoretical surface of a t model",
                  ("output", "format", "direction", "alpha", "k", "grid", "delta", "mu",
                   "sigma", "nu", "n"),
-                 ("mu", "sigma", "nu", "alpha", "n")),
+                 ("mu", "sigma", "nu", "alpha", "n", "k")),
     "mc-study": ("replicated simulation study",
                  ("output", "direction", "alpha", "k", "grid", "delta", "epsilon", "b1",
                   "seed", "replicates", "mu", "sigma", "nu", "n"),
@@ -495,7 +384,7 @@ def load_config_file(path: str) -> dict:
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     _, options, required = COMMANDS[args.command]
-    cfg = RunConfig()
+    cfg = RunConfig(**dict.fromkeys(required))
     file_values = load_config_file(args.config) if args.config else {}
     for key, val in file_values.items():
         if key not in options:
@@ -635,15 +524,12 @@ def cmd_oracle_t(cfg: RunConfig) -> int:
     alpha = parse_alpha(cfg.alpha)
     u = parse_direction(cfg.direction, params.d, model_sigma=params.sigma)
     grid = theta_grid(params.d, cfg.grid, cfg.delta)
-    t_anchor = cfg.n / k
     r = rotation_for(u)
-    rotated = rotate_elliptical(params, r)
-    a, b = theoretical_norm_sequences(rotated, t_anchor)
-    fit = ModelFit(k, np.full(params.d, params.gamma), params.gamma, a, b, cfg.n)
-    rhos = theoretical_rho(grid.thetas, params, r)
-    x_rot = extrapolate(rhos[:, None] * grid.thetas / (t_anchor * alpha), a, b, fit.gamma)
-    surface = QuantileSurface.from_rotated(alpha, r, grid.thetas, x_rot, rhos,
-                                           np.zeros(len(grid), dtype=bool), fit)
+    oracle = model_oracle(params, r, alpha, grid.thetas, cfg.n / k)
+    fit = ModelFit(k, np.full(params.d, params.gamma), params.gamma, oracle.a, oracle.b,
+                   cfg.n)
+    surface = QuantileSurface.from_rotated(alpha, r, grid.thetas, oracle.x_rotated,
+                                           oracle.rho, np.zeros(len(grid), dtype=bool), fit)
     doc = {**surface.to_dict(), "source": "oracle"}
     text = surface_doc_to_csv(doc) if cfg.format == "csv" else _json_text(doc)
     _write_text(cfg.output, text)

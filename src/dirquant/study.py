@@ -17,7 +17,7 @@ from .errors import DataError, NumericalError
 from .geometry import Direction, rotation_for
 from .quantile import ThetaGrid, fit_direction, quantile_point
 from .stdf import rho_hat_batch
-from .tmodel import TParams, asymptotic_quantile, relative_error, sample_t, theoretical_rho
+from .tmodel import TParams, asymptotic_quantile, model_oracle, relative_error, sample_t
 
 
 @dataclass(frozen=True)
@@ -94,11 +94,12 @@ def run_study(params: TParams, n: int, replicates: int, u: Direction, alpha: flo
     index, rows = zip(*valid)
     k_hat, gamma_ratio, rho_hat, floored, x_original, re = map(np.array, zip(*rows))
     t_med = float(np.median(n / k_hat))
+    oracle = model_oracle(params, r, alpha, grid.thetas, t_med)
     return StudyResult(
         n=n, alpha=alpha, u=u, grid=grid, seed=seed,
         index=np.array(index), k_hat=k_hat, gamma_ratio=gamma_ratio, rho_hat=rho_hat,
         floored=floored, x_original=x_original, re=re, failures=failures,
-        rho_theory=theoretical_rho(grid.thetas, params, r),
+        rho_theory=oracle.rho,
         oracle_anchor_t=t_med,
-        oracle_points=asymptotic_quantile(params, r, alpha, grid.thetas, t_med) @ r.entries,
+        oracle_points=oracle.x_rotated @ r.entries,
     )

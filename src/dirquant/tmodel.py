@@ -367,17 +367,6 @@ def t_stdf(z, corr, nu: float):
     return float(total[0]) if z.ndim == 1 else total
 
 
-def _model_rho(theta, rotated: TParams):
-    theta = np.asarray(theta, dtype=float)
-    if (theta <= 0).any():
-        raise ValueError("theta must be interior (all components positive)")
-    return t_stdf(theta, rotated.correlation(), rotated.nu)
-
-
-def _rotated_model(params: TParams, u: Direction | RotationMatrix) -> TParams:
-    return rotate_elliptical(params, u if isinstance(u, RotationMatrix) else rotation_for(u))
-
-
 def theoretical_rho(theta, params: TParams, u: Direction | RotationMatrix):
     """Theoretical scalar radius of the rotated model at interior angles.
 
@@ -385,7 +374,11 @@ def theoretical_rho(theta, params: TParams, u: Direction | RotationMatrix):
     g radii; the model is rotated once per call. ``u`` is the direction or
     its already built rotation.
     """
-    return _model_rho(theta, _rotated_model(params, u))
+    theta = np.asarray(theta, dtype=float)
+    if (theta <= 0).any():
+        raise ValueError("theta must be interior (all components positive)")
+    rotated = rotate_elliptical(params, u if isinstance(u, RotationMatrix) else rotation_for(u))
+    return t_stdf(theta, rotated.correlation(), rotated.nu)
 
 
 def theoretical_norm_sequences(params: TParams, t: float):
@@ -414,21 +407,39 @@ def theoretical_norm_sequences(params: TParams, t: float):
     return params.gamma * b, b
 
 
-def asymptotic_quantile(params: TParams, u: Direction | RotationMatrix, alpha: float,
-                        theta, t: float):
-    """Asymptotic quantile point of the rotated model along angle theta.
+@dataclass(frozen=True)
+class ModelOracle:
+    """The rotated model's radius at each angle, its normalization
+    sequences (a, b) at anchor t, and its asymptotic quantile points in
+    rotated coordinates."""
 
-    Returns the point in rotated coordinates built from the theoretical
-    radius and normalization sequences at anchor t. ``theta`` is one
-    angle (d,), giving one point, or a stack (g, d), giving g points,
-    each equal to its single-angle value bit for bit. ``u`` is the
-    direction or its already built rotation.
+    rho: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    x_rotated: np.ndarray
+
+
+def model_oracle(params: TParams, u: Direction | RotationMatrix, alpha: float, theta,
+                 t: float) -> ModelOracle:
+    """The theoretical surface of the rotated model at level alpha and anchor t.
+
+    ``theta`` is one angle (d,), giving a float radius and one point, or a
+    stack (g, d), giving g of each, each point equal to its single-angle
+    value bit for bit. ``u`` is the direction or its already built rotation.
     """
     theta = np.asarray(theta, dtype=float)
-    rotated = _rotated_model(params, u)
-    rho = _model_rho(theta, rotated)
-    a, b = theoretical_norm_sequences(rotated, t)
-    return extrapolate(np.asarray(rho)[..., None] * theta / (t * alpha), a, b, params.gamma)
+    r = u if isinstance(u, RotationMatrix) else rotation_for(u)
+    a, b = theoretical_norm_sequences(rotate_elliptical(params, r), t)
+    rho = theoretical_rho(theta, params, r)
+    x = extrapolate(np.asarray(rho)[..., None] * theta / (t * alpha), a, b, params.gamma)
+    return ModelOracle(rho, a, b, x)
+
+
+def asymptotic_quantile(params: TParams, u: Direction | RotationMatrix, alpha: float,
+                        theta, t: float):
+    """Asymptotic quantile point of the rotated model along angle theta, in
+    rotated coordinates: ``model_oracle``'s points."""
+    return model_oracle(params, u, alpha, theta, t).x_rotated
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirquant import (
+    DataError,
     PositivityError,
     ResamplingError,
     convergence_rate,
@@ -601,6 +602,12 @@ class TestSelectK:
         assert sel.fallback
         assert sel.k_hat == 20
         assert sel.k_j_m1 is None and sel.k_j_m2 is None and sel.pi_j is None
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fewer_than_three_rows_is_a_data_error(self, n):
+        # no k lies in [2, n - 1]
+        with pytest.raises(DataError, match=f"need at least 3 rows .*, got {n}$"):
+            select_k(np.full((n, 2), 1.5))
 
     def test_tiny_m2_rejected(self):
         rng = np.random.default_rng(47)

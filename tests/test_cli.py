@@ -351,23 +351,28 @@ class TestCommands:
         assert len(calls) == 1
 
     def test_oracle_points_reuse_radius_and_norm_sequences(self, tmp_path, monkeypatch):
-        calls = {"theoretical_rho": 0, "theoretical_norm_sequences": 0}
-        for name in calls:
-            real = getattr(tmodel, name)
+        # each command evaluates the model on its grid once, in model_oracle,
+        # and takes the surface's radius and points from that one evaluation;
+        # each mc-study replicate adds one single-angle evaluation
+        real = tmodel.t_stdf
+        grid_sizes = []
 
-            def counted(*args, _real=real, _name=name):
-                calls[_name] += 1
-                return _real(*args)
+        def counted(z, corr, nu):
+            if np.ndim(z) == 2:
+                grid_sizes.append(len(z))
+            return real(z, corr, nu)
 
-            monkeypatch.setattr(tmodel, name, counted)
-            monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(tmodel, "t_stdf", counted)
         out = tmp_path / "oracle.json"
         m3 = ["--mu", "0,0,0", "--sigma", "1,0.5,0.2,0.5,1,0.3,0.2,0.3,1", "--nu", "4"]
         assert main(["oracle-t", *m3, "--alpha", "1/5000", "--n", "5000", "--k", "100",
                      "--grid", "3", "--direction", "fpc", "--output", str(out)]) == 0
-        assert calls == {"theoretical_rho": 1, "theoretical_norm_sequences": 1}
+        assert main(["mc-study", *m3, "--n", "2000", "--replicates", "2", "--k", "150",
+                     "--grid", "3", "--direction", "fpc",
+                     "--output", str(tmp_path / "mc")]) == 0
         monkeypatch.undo()
         doc = json.loads(out.read_text())
+        assert grid_sizes == [len(doc["points"])] * 2
         sigma = [[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]]
         params = tmodel.TParams(np.zeros(3), np.array(sigma), 4.0)
         u = tmodel.fpc_direction(params.sigma)
@@ -525,11 +530,11 @@ REQUIRED = {
     "estimate": ["input", "alpha"],
     "flag": ["input", "alpha"],
     "simulate-t": ["mu", "sigma", "nu", "n"],
-    "oracle-t": ["mu", "sigma", "nu", "alpha", "n"],
+    "oracle-t": ["mu", "sigma", "nu", "alpha", "n", "k"],
     "mc-study": ["mu", "sigma", "nu", "n"],
 }
 REQUIRED_VALUES = {"input": "unread.csv", "alpha": "1/1500", "mu": MU2, "sigma": SIG2,
-                   "nu": "3", "n": "1500"}
+                   "nu": "3", "n": "1500", "k": "100"}
 
 
 def required_argv(command: str) -> list[str]:
@@ -618,8 +623,7 @@ class TestExitCodes:
 
     def test_unparsable_direction_component(self, tmp_path, capsys):
         out = tmp_path / "out.json"
-        argv = required_argv("oracle-t") + ["--k", "100", "--direction", "1,x",
-                                            "--output", str(out)]
+        argv = required_argv("oracle-t") + ["--direction", "1,x", "--output", str(out)]
         assert main(argv) == 2
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError",
@@ -670,6 +674,40 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err) == {
             "error": "ValueError", "message": "oracle-t needs --k >= 1, got 0"}
 
+    def test_oracle_auto_k_is_usage_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("k=auto\n")
+        out = tmp_path / "oracle.json"
+        argv = required_argv("oracle-t") + ["--output", str(out)]
+        for extra in (["--k", "auto"], ["--k", "auto", "--config", str(cfgfile)]):
+            assert main(argv + extra) == 2
+            assert json.loads(capsys.readouterr().err) == {
+                "error": "ValueError",
+                "message": "oracle-t needs an explicit integer --k (anchor t = n/k)"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_select_k_on_fewer_than_three_rows(self, rows, tmp_path, capsys):
+        data = tmp_path / "few.csv"
+        data.write_text("1.5,2.5\n" * rows)
+        out = tmp_path / "k.json"
+        assert main(["select-k", "--input", str(data), "--output", str(out)]) == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "DataError",
+            "message": f"need at least 3 rows to select k in [2, n - 1], got {rows}"}
+        assert not out.exists()
+
+    def test_error_object_is_one_json_line(self, monkeypatch, capsys):
+        def fail(cfg):
+            raise ValueError('two\nlines, "quoted", γ ≤ 0')
+
+        monkeypatch.setattr(cli, "cmd_rotate", fail)
+        assert main(["rotate", "--input", "unread.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err == json.dumps({"error": "ValueError",
+                                  "message": 'two\nlines, "quoted", γ ≤ 0'}) + "\n"
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("args, message", [
         (["mc-study", "--n", "100", "--replicates", "0"],
          "mc-study needs --replicates >= 1, got 0"),
@@ -693,7 +731,7 @@ class TestExitCodes:
         ("estimate", "estimate needs --input and --alpha"),
         ("flag", "flag needs --input and --alpha"),
         ("simulate-t", "simulate-t needs --mu, --sigma, --nu and --n"),
-        ("oracle-t", "oracle-t needs --mu, --sigma, --nu, --alpha and --n"),
+        ("oracle-t", "oracle-t needs --mu, --sigma, --nu, --alpha, --n and --k"),
         ("mc-study", "mc-study needs --mu, --sigma, --nu and --n"),
     ])
     def test_bare_command_names_its_required_options(self, command, message, tmp_path,
@@ -905,23 +943,23 @@ BYTE_CASES = {
 BYTE_DIGESTS = {
     "estimate-csv-2d-center": {
         "": "5119c6a909fed6bb343e8dd59087e7de36fec030cf1afe4748b7bcba256339fa",
-        ".report.json": "10867d7968ce45cd8734b0a4332efb9a41f454bd17e5a6e2691e0385729b5697",
+        ".report.json": "3014ebc13b378c8eccd8f3b5e1a647f8cb14d9a9223f33612fb33d5d29adf959",
     },
     "estimate-csv-3d-auto": {
         "": "14e9737c5c72d350b6b7c08d4e430ab92c4b846935fdad34a6a9e2f0acaac2eb",
-        ".report.json": "6ec73c9afb1844178977a83fa12a6de14195508106b102b80a1fb13218d91c81",
+        ".report.json": "414b6ab4b04e38374bd2b2b16301d55d8cccf661d6c9ce65d7340e6570d03638",
     },
     "estimate-json-2d-auto": {
-        "": "c350759bbbd52abb327001d85032b3ab29a613acefd9e4cc8bec91b08f69974f",
-        ".report.json": "b747bd30afaf5699feb492e9095e1d980503b7611eed777ffa61c045d91b5075",
+        "": "d424f150d5680e2b1aa6d08a6bf9a9b295e42f222c24f1ebcd198153400fba2f",
+        ".report.json": "c5b6b0585ed44d5b95db5c42f28e8ecb6079678db77340fcf83c45e505933d05",
     },
     "estimate-json-3d-k-rho": {
-        "": "29db272cdafb037227fc971c16a0841c60a46ba29a9b945c4a2a8f0c1d08e685",
-        ".report.json": "b25fada09205b2f3db674ae742d7b1b474e42e0e5218b84c84d5182ddb1cc4f3",
+        "": "ef74506e9f010cb138c51e274746019e86d93c2e372cf6551a1a63a20f1e607e",
+        ".report.json": "d8cb4e4f890a63611cfce461b393612ed16324eff59f45d57da927e338429121",
     },
     "estimate-json-4d": {
-        "": "6e8ec904f3b94193fc1980fa8c111240c253c7985082ce3210d40acb89945088",
-        ".report.json": "1ea1cf0485ce053ebe7ba197f2af006d30a83ed914c2b8e4330601615bc40a45",
+        "": "c3178166a5b0c948fc63f9cdb85d4d9b898ade07ee9d9660aa11d6f98872a35b",
+        ".report.json": "3d9850fb5a54284d8e3b6a1882c73ebc535c1d7c7c9c9b5934fc57f6839efe8f",
     },
     "flag-csv-2d-auto": {
         "": "dfe5ca97a6d0471826b793f2c32931b21f6df5a01fb62149c3a8b6a33e44dab1",
@@ -933,10 +971,10 @@ BYTE_DIGESTS = {
         "": "ef8aff2be252c1c5129678147de4ae1874ab994528eb2ed92c961d40e985142c",
     },
     "flag-json-2d": {
-        "": "47e25251c6db5a76bb94ae284f8b61b3172e2c13d06832537852fc12d4e378f1",
+        "": "300ef3105cfa95b7efd47deac2d9017ad35c68e2162466199afa87bf7dcd4d25",
     },
     "flag-json-3d-center": {
-        "": "8ef83f81523594ab54392965409b6142a54d1b1ada034534228accc0e37196fd",
+        "": "cfb41e6752cee98a30573ff5ebd30587f3bdc3173a9b9f0c3cfdf5f3a9553463",
     },
     "mc-study-2d": {
         # replicate 1 fails with "HeavyTailError: marginal 1 has tail index
@@ -944,31 +982,31 @@ BYTE_DIGESTS = {
         ".replicates.csv": "5a221e363ed28313f5177ccba95db7d186f0dfacdef9e55ad6f916b2b92a2703",
         ".rho.csv": "623fb2186c86328e4e1314259b42c017a90642bcede0ef4fdd970d77ef656bd5",
         ".bands.csv": "0c6c6f122ecffe8427a6ad269bdacbb70e07d8896e9b8f122dd46a01b4006bcd",
-        ".summary.json": "aae3e4786a5f456d1caeb96b2371c2554d73b035a03d6fce37d960adc2af1ea9",
+        ".summary.json": "5b94e39089bf67f5ef95ea98cd49b6fc21a03ad0e9b56130ca9d0e44ef8b96b9",
     },
     "mc-study-3d": {
         ".replicates.csv": "b0cfd5189d338103a64683aaa91ec210f23e39069c055bc9ffd8dba39834681e",
         ".rho.csv": "f41c4c1d9683048a69a1fcd2d6f1eda2c730c211cf3d6f8137b2946ce76a4509",
         ".bands.csv": "dbb324876500b0d389556ace3e4de2a24271f3fff4e485c2f2b0448194cb0183",
-        ".summary.json": "2183cd0c9a768a8eb8377571aaf6f431b480860cb85b512161ca7cc3ce31ac47",
+        ".summary.json": "aeadd784c0b774724933e39f6ce305c2ce55a21d42d7b48e181f74469f28dfed",
     },
     "oracle-csv-3d": {
         "": "f12e14a256738bb92f6ca8a4fded739df29b67fcfcc7b3f0651e3d5aa397e5c9",
     },
     "oracle-json-2d": {
-        "": "189dce6c05ee34401ae6018eadfa3586b17f87352e701c5c9a924cf273f2145f",
+        "": "76b31d4bb338c47c68eeb782f584c762dfc25eccf8de04cdbbbe264211a98758",
     },
     "oracle-json-k1": {
-        "": "e47b8faabe39a3b348832f9a528795e88c2997fc315c9bf65becf97623e88a76",
+        "": "8a2b352f57db8b2f7e10ac021389bdb610b7a3f9caad4d6494dae575ed1cc4af",
     },
     "rotate-csv-3d": {
         "": "ad8b3623224876497667f2a67dc4faae207bdf78480c54365974b35b26c29010",
     },
     "rotate-json-2d": {
-        "": "ff856e9319ea12f08d9a9d58b97da15f77cff3ab7d991f306ad7c8d258251c26",
+        "": "f82e0d491d997ac47bbb16fbb8fcb0ceab2f495090e1e397ddcf28a064ae93cb",
     },
     "select-k-2d": {
-        "": "ae0606db3ac96a68fd08f39ebdff298a8655c3811a2bca089b1ed2e8e0f7cc56",
+        "": "6a419976e46332646fb89d389c94656db5ad2cb01d174c957676cf572a441ee7",
     },
     "simulate-t-2d": {
         "": "9e33913f09657e99b956a553109f88bf04ad11904e4366403ac99a820cc5f68a",
@@ -1003,3 +1041,10 @@ def test_outputs_byte_stable(name, simulated, tmp_path):
     got = {s: hashlib.sha256((tmp_path / ("out" + s)).read_bytes()).hexdigest()
            for s in BYTE_DIGESTS[name]}
     assert got == BYTE_DIGESTS[name]
+    # every JSON file is the one line of json.dumps and a newline: each
+    # .json suffix, and --output itself unless the command writes CSV
+    writes_csv = argv[0] == "simulate-t" or "csv" in argv
+    for s in BYTE_DIGESTS[name]:
+        if s.endswith(".json") or (s == "" and not writes_csv):
+            text = (tmp_path / ("out" + s)).read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), allow_nan=False) + "\n"
