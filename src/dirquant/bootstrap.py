@@ -48,13 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    NonFiniteCorrectionWarning,
-    ResamplingError,
-    SmallSampleWarning,
-    _require_finite,
-)
+from .errors import DataError, ResamplingError, SmallSampleWarning, _readonly, _sample_columns
 from .evt import _descending_logs, _profiles_from_logs
 
 REDRAW_ATTEMPTS = 100
@@ -92,9 +86,7 @@ class KSelection:
         for name in ("k_j_m1", "k_j_m2", "pi_j"):
             val = getattr(self, name)
             if val is not None:
-                arr = np.array(val)
-                arr.flags.writeable = False
-                object.__setattr__(self, name, arr)
+                object.__setattr__(self, name, _readonly(val, dtype=None))
 
     def to_dict(self) -> dict:
         def listify(a):
@@ -277,13 +269,12 @@ def _stream_words(n: int, m: int, seed: int, stage: int, indices) -> Optional[np
 def _first_draws(n: int, m: int, seed: int, stage: int, indices,
                  words: Optional[np.ndarray], ws: _Workspace) -> np.ndarray:
     """(B, m) first draws ``default_rng([seed, stage, i]).integers(0, n, m)``,
-    a view into ``ws``; ``words`` are the streams' ``_stream_words``."""
+    a view into ``ws``; ``words`` are the streams' ``_stream_words``, or None."""
     if words is None:
         draws = ws.array(1, (len(indices), m), np.int64)
-        for row, i in zip(draws, indices):
-            row[:] = np.random.default_rng([seed, stage, i]).integers(0, n, m)
-        return draws
-    draws, exact = _replayed_draws(n, m, words, ws)
+        exact = np.zeros(len(indices), dtype=bool)
+    else:
+        draws, exact = _replayed_draws(n, m, words, ws)
     for i in np.flatnonzero(~exact):
         draws[i] = np.random.default_rng([seed, stage, indices[i]]).integers(0, n, m)
     return draws
@@ -412,12 +403,6 @@ def _argmin_per_marginal(sums: np.ndarray, counts: np.ndarray, b: int) -> np.nda
     return out
 
 
-def _as_columns(rotated_sample) -> np.ndarray:
-    """The sample as an (n, d) array; a 1-D sample is n rows of one marginal."""
-    sample = np.asarray(rotated_sample, dtype=float)
-    return sample[:, None] if sample.ndim == 1 else sample
-
-
 def optimal_k_for_size(
     rotated_sample,
     m: int,
@@ -432,8 +417,7 @@ def optimal_k_for_size(
     and adds its error curve to the sums in index order, so results do
     not depend on how resamples are grouped into blocks.
     """
-    sample = _as_columns(rotated_sample)
-    _require_finite(sample)
+    sample = _sample_columns(rotated_sample)
     ws = _Workspace(sample.shape[1], BLOCK, m)
     return _stage_argmin(_rank_table(sample), m, b, seed, stage, min_retained, ws)
 
@@ -481,13 +465,12 @@ def select_k(
 ) -> KSelection:
     """Full bootstrap selection of k(n) on a finite, pre-rotated sample.
 
-    Falls back to k = floor(sqrt(n)) with a warning for n below
+    Falls back to k = floor(sqrt(n)), at least 2, with a warning for n below
     2000/2^d, where the resample sizes are too small for the two-stage
     procedure to be meaningful. DataError below 3 rows, where no k lies
     in [2, n - 1].
     """
-    sample = _as_columns(rotated_sample)
-    _require_finite(sample)
+    sample = _sample_columns(rotated_sample)
     n, d = sample.shape
     if n < 3:
         raise DataError(f"need at least 3 rows to select k in [2, n - 1], got {n}")
@@ -496,10 +479,12 @@ def select_k(
     m1 = int(math.floor(n ** (1.0 - epsilon)))
     m2 = (m1 * m1) // n
     if n < 2000 / 2**d:
-        k_hat = int(np.clip(int(math.isqrt(n)), 2, n - 1))
+        root = math.isqrt(n)
+        k_hat = max(root, 2)  # in [2, n - 1] for n >= 3
+        clip = "" if k_hat == root else f", clipped to [2, n - 1]: k = {k_hat}"
         warnings.warn(
             f"n={n} is too small for the bootstrap selection in dimension {d}; "
-            f"falling back to k = floor(sqrt(n)) = {k_hat}",
+            f"falling back to k = floor(sqrt(n)) = {root}{clip}",
             SmallSampleWarning,
             stacklevel=2,
         )
@@ -537,14 +522,8 @@ def select_k(
     pis = np.array([convergence_rate(int(k), m1) for k in k1])
     terms = np.empty(d)
     for j in range(d):
+        # finite: k1[j] lies in [2, m1 - 1], so pis[j] < 0
         factor = (1.0 - 1.0 / pis[j]) ** (1.0 / (2.0 * pis[j] - 1.0))
-        if not np.isfinite(factor):
-            warnings.warn(
-                f"marginal {j + 1}: non-finite correction factor; using 1",
-                NonFiniteCorrectionWarning,
-                stacklevel=2,
-            )
-            factor = 1.0
         terms[j] = (k1[j] ** 2 / k2[j]) * factor
     k_hat = int(np.clip(round(float(terms.mean())), 2, n - 1))
     return KSelection(

@@ -445,17 +445,21 @@ def cmd_select_k(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_estimate(cfg: RunConfig) -> int:
+def _estimation_input(cfg: RunConfig):
+    """The input step of estimate and flag: (data, alpha, u, k, offset). With
+    ``--center``, ``data`` is the input less its median ``offset``; else offset is None."""
     sample = parse_csv(cfg.input, cfg.has_header)
     alpha = parse_alpha(cfg.alpha)
     u = parse_direction(cfg.direction, sample.shape[1], sample)
-    grid = theta_grid(sample.shape[1], cfg.grid, cfg.delta)
     k = parse_k(cfg.k)
-    offset = None
-    data = sample
-    if cfg.center:
-        offset = np.median(sample, axis=0)
-        data = sample - offset
+    offset = np.median(sample, axis=0) if cfg.center else None
+    data = sample if offset is None else sample - offset
+    return data, alpha, u, k, offset
+
+
+def cmd_estimate(cfg: RunConfig) -> int:
+    data, alpha, u, k, offset = _estimation_input(cfg)
+    grid = theta_grid(data.shape[1], cfg.grid, cfg.delta)
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
         surface = estimate_surface(
@@ -479,12 +483,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
 
 def cmd_flag(cfg: RunConfig) -> int:
-    sample = parse_csv(cfg.input, cfg.has_header)
-    alpha = parse_alpha(cfg.alpha)
-    u = parse_direction(cfg.direction, sample.shape[1], sample)
-    k = parse_k(cfg.k)
-    offset = np.median(sample, axis=0) if cfg.center else None
-    data = sample if offset is None else sample - offset
+    data, alpha, u, k, _ = _estimation_input(cfg)
     result = flag_outliers(data, u, alpha, k, epsilon=cfg.epsilon, b1=cfg.b1,
                            seed=cfg.seed)
     # plain Python floats and bools: per-row numpy scalars cost twice as much

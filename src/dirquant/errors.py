@@ -3,8 +3,8 @@
 Two error families matter to callers: ``DataError`` covers violated
 distributional assumptions or malformed inputs (CLI exit code 3), while
 ``NumericalError`` covers failures of numeric procedures such as
-factorizations or root finding (CLI exit code 4). The library's entry
-points share one finiteness check of their input arrays.
+factorizations or root finding (CLI exit code 4). Every entry point
+that takes a sample reads it through one coercion, ``_sample_columns``.
 """
 
 import numpy as np
@@ -62,6 +62,23 @@ def _require_finite(cells: np.ndarray, what: str = "sample cell") -> None:
         )
 
 
+def _sample_columns(values) -> np.ndarray:
+    """``values`` as a finite float (n, d) sample; a 1-D sample is n rows of
+    one marginal. DataError names the first non-finite cell."""
+    sample = np.asarray(values, dtype=float)
+    if sample.ndim == 1:
+        sample = sample[:, None]
+    _require_finite(sample)
+    return sample
+
+
+def _readonly(values, dtype=float) -> np.ndarray:
+    """A read-only copy of ``values`` as a ``dtype`` array (None infers it)."""
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
 class FactorizationError(NumericalError):
     """Matrix factorization failed (singular or near-singular input)."""
 
@@ -80,7 +97,3 @@ class TailDisparityWarning(EstimationWarning):
 
 class SmallSampleWarning(EstimationWarning):
     """Sample too small for the full bootstrap procedure; degraded path used."""
-
-
-class NonFiniteCorrectionWarning(EstimationWarning):
-    """A bootstrap correction factor was non-finite and replaced by 1."""

@@ -3,7 +3,8 @@
 The tail index of each rotated marginal is estimated by the moment
 estimator built from the top-k log spacings; the normalization
 sequences reuse the same order statistics. All routines assume heavy
-tails with positive thresholds.
+tails with positive thresholds; ``fit_tails`` is the one check of a
+fit's input on every path from a sample to its TailFit.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from .errors import (
     HeavyTailError,
     PositivityError,
     TailDisparityWarning,
+    _readonly,
+    _sample_columns,
 )
 
 
@@ -34,9 +37,7 @@ class TailFit:
 
     def __post_init__(self):
         for name in ("gamma_marginal", "a", "b"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
         if not (2 <= self.k <= self.n - 1):
             raise ValueError(f"k={self.k} outside [2, n-1] for n={self.n}")
         if (self.b <= 0).any():
@@ -180,16 +181,26 @@ def _profiles_from_logs(logs: np.ndarray, m1: np.ndarray, m2: np.ndarray,
 
 
 def fit_tails(rotated_sample, k: int) -> TailFit:
-    """Fit marginal tail indexes and normalization sequences on a rotated sample."""
-    sample = np.asarray(rotated_sample, dtype=float)
-    if sample.ndim == 1:
-        sample = sample[:, None]
+    """Fit marginal tail indexes and normalization sequences on a rotated sample.
+
+    Checks, in order: finite cells, k in [1, n - 1], X_(n-k) > 0 in every
+    marginal, k >= 2. A 1-D sample is one marginal.
+    """
+    sample = _sample_columns(rotated_sample)
     n, d = sample.shape
     _check_k(n, k)
+    # the estimators read only the top k + 1 order statistics, X_(n-k) first
+    top = np.partition(sample.T, n - k - 1, axis=1)[:, n - k - 1:]
+    bad = np.flatnonzero(top[:, 0] <= 0)
+    if bad.size:
+        med = np.median(sample, axis=0)
+        raise PositivityError(
+            f"rotated marginals {(bad + 1).tolist()} have non-positive upper order "
+            f"statistics at k={k}; recenter the data first (for instance subtract "
+            f"the componentwise median {np.round(med, 6).tolist()})"
+        )
     if k < 2:
         raise ValueError(f"k={k} too small: the moment estimator needs k >= 2")
-    # the estimators read only the top k + 1 order statistics, ascending
-    top = np.partition(sample.T, n - k - 1, axis=1)[:, n - k - 1:]
     top.sort(axis=1)
     gammas = np.empty(d)
     a = np.empty(d)
@@ -199,8 +210,8 @@ def fit_tails(rotated_sample, k: int) -> TailFit:
         try:
             gammas[j] = gamma_moment(s, k)
             a[j], b[j] = norm_sequences(s, k, gammas[j])
-        except (PositivityError, DegenerateMomentsError) as exc:
-            raise type(exc)(f"marginal {j + 1}: {exc}") from exc
+        except DegenerateMomentsError as exc:
+            raise DegenerateMomentsError(f"marginal {j + 1}: {exc}") from exc
     spread = gammas.max() - gammas.min()
     mean_g = gammas.mean()
     if d >= 2 and spread > 0.5 * mean_g:

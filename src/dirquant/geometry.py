@@ -14,18 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FactorizationError, InvalidDirectionError
+from .errors import FactorizationError, InvalidDirectionError, _readonly
 
 NONNULL_TOL = 1e-8
 UNIT_TOL = 1e-12
 ORTHO_TOL = 1e-10
 RCOND_MIN = 1e-12
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
 
 
 def _require_finite_components(v: np.ndarray) -> None:

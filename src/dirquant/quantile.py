@@ -15,15 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .bootstrap import KSelection, select_k
-from .errors import DataError, PositivityError, _require_finite
-from .evt import (
-    TailFit,
-    _check_k,
-    _require_heavy_tails,
-    extrapolate,
-    fit_tails,
-    frechet_weights,
-)
+from .errors import DataError, _readonly, _require_finite
+from .evt import TailFit, _require_heavy_tails, extrapolate, fit_tails, frechet_weights
 from .geometry import Direction, RotationMatrix, rotate, rotation_for
 from .stdf import StdfContext, rho_hat_batch
 
@@ -42,13 +35,10 @@ class ThetaGrid:
     angles: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        t = np.array(self.thetas, dtype=float)
-        t.flags.writeable = False
+        t = _readonly(self.thetas)
         object.__setattr__(self, "thetas", t)
         if self.angles is not None:
-            a = np.array(self.angles, dtype=float)
-            a.flags.writeable = False
-            object.__setattr__(self, "angles", a)
+            object.__setattr__(self, "angles", _readonly(self.angles))
         if (np.abs(np.linalg.norm(t, axis=1) - 1.0) > 1e-12).any():
             raise ValueError("grid angles must have unit norm within 1e-12")
         if (t <= 0).any():
@@ -239,17 +229,7 @@ def fit_direction(sample, u: Direction | RotationMatrix, k="auto", *,
             raise ValueError(f"k must be an integer or 'auto', got {k!r}")
         selection = select_k(rotated, epsilon=epsilon, b1=b1, seed=seed)
         k = selection.k_hat
-    k = int(k)
-    _check_k(n, k)
-    bad = np.flatnonzero(np.partition(rotated, n - 1 - k, axis=0)[n - 1 - k] <= 0)
-    if bad.size:
-        med = np.median(rotated, axis=0)
-        raise PositivityError(
-            f"rotated marginals {(bad + 1).tolist()} have non-positive upper order "
-            f"statistics at k={k}; recenter the data first (for instance subtract "
-            f"the componentwise median {np.round(med, 6).tolist()})"
-        )
-    return DirectionalFit(r, StdfContext(rotated, fit_tails(rotated, k)), selection)
+    return DirectionalFit(r, StdfContext(rotated, fit_tails(rotated, int(k))), selection)
 
 
 def estimate_surface(

@@ -6,17 +6,16 @@ thresholds that the extrapolation formula gives for each angle yields the
 radius rho_hat that scales quantile points along that angular ray.
 
 A row fails to exceed a threshold vector exactly when it is componentwise
-<= it, so the count is n minus an offline dominance count. For d = 1 that
-count is a binary search in the sorted column. For d = 2 and enough
-queries, the thresholds extrapolated from unit angles lie on one monotone
-arc: sorted by the first coordinate, the second never rises, up to
-rounding. ``_dominated_2d`` clamps the second coordinate of the queries
+<= it, so the count is n minus an offline dominance count. For d = 2 and
+enough queries, the thresholds extrapolated from unit angles lie on one
+monotone arc: sorted by the first coordinate, the second never rises, up
+to rounding. ``_dominated_2d`` clamps the second coordinate of the queries
 to its running minimum, counts the clamped chain with one interval per
 row, and adds, for each query above its clamp, the rows of the strip
 between the two. Infinite and nan thresholds take the same route, a nan
 as +inf. On an arc that takes O((n + q) log(n + q)) time and O(n + q)
-extra memory. Fewer queries and d >= 3 compare every query with every
-row, in O(q n d) time.
+extra memory. Fewer queries, d = 1 and d >= 3 compare every query with
+every row, in O(q n d) time.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _readonly
 from .evt import TailFit, _require_heavy_tails, extrapolate
 
 # Largest number of pairwise comparisons materialized at once by the
@@ -41,10 +41,9 @@ class StdfContext:
     fit: TailFit
 
     def __post_init__(self):
-        sample = np.array(self.rotated_sample, dtype=float)
+        sample = _readonly(self.rotated_sample)
         if sample.ndim == 1:
             sample = sample[:, None]
-        sample.flags.writeable = False
         object.__setattr__(self, "rotated_sample", sample)
         n, d = sample.shape
         if n != self.fit.n:
@@ -65,10 +64,10 @@ def union_exceedance_counts(sample: np.ndarray, thresholds: np.ndarray) -> np.nd
     """Count rows exceeding each threshold vector in at least one coordinate.
 
     ``thresholds`` has shape (q, d); returns integer counts of length q.
-    Exceedance is strict, and a nan threshold is never exceeded. One- and
-    two-dimensional samples with many queries are counted through sorted
-    coordinates, non-finite queries included; other inputs compare every
-    query with every row.
+    Exceedance is strict, and a nan threshold is never exceeded.
+    Two-dimensional samples with many queries are counted along the
+    threshold chain, non-finite queries included; other inputs compare
+    every query with every row.
     """
     sample = np.asarray(sample, dtype=float)
     thr = np.atleast_2d(np.asarray(thresholds, dtype=float))
@@ -78,13 +77,11 @@ def union_exceedance_counts(sample: np.ndarray, thresholds: np.ndarray) -> np.nd
         raise ValueError(f"thresholds have dimension {thr.shape[1]}, sample has {d}")
     # Below these sizes the sorts cost more than the comparisons they save.
     # Measured with numpy 2.4 on a 2-core x86-64 host, sorting breaks even
-    # near 8-16 queries for d = 1, and for d = 2 near 64-96 queries along
-    # an arc over 256 rows or more: over 5000 rows, 64 queries take 0.23 ms
-    # to compare and 0.30 ms sorted, 128 queries 0.45 and 0.30 ms, and over
-    # 20 000 rows 3.4 and 2.0 ms. Off an arc the strips widen: 128 random
-    # queries over 20 000 rows took 26 ms sorted.
-    if d == 1 and q >= 16:
-        return n - _count_at_or_below(sample[:, 0], thr[:, 0])[1]
+    # near 64-96 queries along an arc over 256 rows or more: over 5000
+    # rows, 64 queries take 0.23 ms to compare and 0.30 ms sorted, 128
+    # queries 0.45 and 0.30 ms, and over 20 000 rows 3.4 and 2.0 ms. Off an
+    # arc the strips widen: 128 random queries over 20 000 rows took 26 ms
+    # sorted.
     if d == 2 and q >= 128 and n >= 512:
         return n - _dominated_2d(sample, thr)
     return _exceedances_by_comparison(sample, thr)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateModelError, InversionError, UnsupportedDimensionError
+from .errors import DegenerateModelError, InversionError, UnsupportedDimensionError, _readonly
 from .evt import TailFit, extrapolate
 from .geometry import Direction, RotationMatrix, rotation_for
 
@@ -49,10 +49,7 @@ class TParams:
     nu: float
 
     def __post_init__(self):
-        mu = np.array(self.mu, dtype=float)
-        sigma = np.array(self.sigma, dtype=float)
-        mu.flags.writeable = False
-        sigma.flags.writeable = False
+        mu, sigma = _readonly(self.mu), _readonly(self.sigma)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
         d = mu.size

@@ -24,7 +24,7 @@ from dirquant import (
     select_k,
 )
 from dirquant import bootstrap
-from dirquant.errors import NonFiniteCorrectionWarning, SmallSampleWarning
+from dirquant.errors import SmallSampleWarning
 
 from oracles import bootstrap_error, orthant_leq
 
@@ -566,18 +566,6 @@ class TestSelectK:
         assert not sel.fallback
         assert 2 <= sel.k_hat <= 499
 
-    def test_non_finite_correction_factor_names_its_marginal(self, monkeypatch):
-        # rate 0.9 for the second marginal only: (1 - 1/0.9) ** 1.25 is nan
-        rates = iter([2.0, 0.9])
-        monkeypatch.setattr(bootstrap, "convergence_rate", lambda k, m1: next(rates))
-        sample = pareto_sample(np.random.default_rng(31), 500, 2)
-        with pytest.warns(NonFiniteCorrectionWarning) as record:
-            sel = select_k(sample, epsilon=0.25, b1=20, seed=0)
-        messages = [str(w.message) for w in record
-                    if w.category is NonFiniteCorrectionWarning]
-        assert messages == ["marginal 2: non-finite correction factor; using 1"]
-        assert 2 <= sel.k_hat <= 499
-
     def test_one_dimensional_sample_is_one_marginal(self):
         rng = np.random.default_rng(41)
         x = pareto_sample(rng, 3000, 1)[:, 0]
@@ -602,6 +590,18 @@ class TestSelectK:
         assert sel.fallback
         assert sel.k_hat == 20
         assert sel.k_j_m1 is None and sel.k_j_m2 is None and sel.pi_j is None
+
+    @pytest.mark.parametrize("n, k_hat, stated", [
+        # floor(sqrt(3)) = 1 is raised to the least k in [2, n - 1]
+        (3, 2, "1, clipped to [2, n - 1]: k = 2"), (4, 2, "2"), (9, 3, "3"),
+    ])
+    def test_fallback_warning_states_its_k(self, n, k_hat, stated):
+        with pytest.warns(SmallSampleWarning) as record:
+            sel = select_k(np.full((n, 2), 1.5))
+        assert [str(w.message) for w in record] == [
+            f"n={n} is too small for the bootstrap selection in dimension 2; "
+            f"falling back to k = floor(sqrt(n)) = {stated}"]
+        assert sel.fallback and sel.k_hat == k_hat
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_fewer_than_three_rows_is_a_data_error(self, n):

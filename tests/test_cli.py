@@ -550,6 +550,13 @@ class TestExitCodes:
         assert main(["estimate", "--input", data_csv, "--has-header",
                      "--alpha", "2.0", "--k", "100"]) == 2
 
+    def test_k_is_read_before_the_grid(self, data_csv, capsys):
+        # the input step shared with flag parses k; estimate builds its grid after it
+        assert main(["estimate", "--input", data_csv, "--has-header", "--alpha", "0.01",
+                     "--k", "x", "--grid", "1"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": "k must be an integer or 'auto', got 'x'"}
+
     def test_usage_error_missing_file(self):
         assert main(["select-k", "--input", "/nonexistent.csv"]) == 2
 
@@ -696,6 +703,19 @@ class TestExitCodes:
             "error": "DataError",
             "message": f"need at least 3 rows to select k in [2, n - 1], got {rows}"}
         assert not out.exists()
+
+    def test_select_k_on_three_rows_states_the_clip(self, tmp_path, capsys):
+        data = tmp_path / "few.csv"
+        data.write_text("1.5,2.5\n" * 3)
+        out = tmp_path / "k.json"
+        assert main(["select-k", "--input", str(data), "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["k_hat"], doc["fallback"]) == (2, True)
+        assert doc["warnings"] == [{
+            "category": "SmallSampleWarning",
+            "message": "n=3 is too small for the bootstrap selection in dimension 2; "
+                       "falling back to k = floor(sqrt(n)) = 1, clipped to [2, n - 1]: "
+                       "k = 2"}]
 
     def test_error_object_is_one_json_line(self, monkeypatch, capsys):
         def fail(cfg):

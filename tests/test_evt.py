@@ -177,7 +177,8 @@ class TestFitTails:
 
     def test_error_names_marginal(self):
         x = np.column_stack([np.linspace(1, 5, 100), np.linspace(-2, -1, 100)])
-        with pytest.raises(PositivityError, match="marginal 2: "):
+        with pytest.raises(PositivityError, match=r"^rotated marginals \[2\] have "
+                           r"non-positive upper order statistics at k=10; recenter"):
             fit_tails(x, 10)
 
     def test_disparity_warning(self):

@@ -316,7 +316,8 @@ class TestFitDirection:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
-        "entry", ["estimate", "flag", "fit", "select_k", "optimal_k_for_size", "levels"]
+        "entry",
+        ["estimate", "flag", "fit", "fit_tails", "select_k", "optimal_k_for_size", "levels"],
     )
     def test_non_finite_cell_named(self, entry, bad, sample_2d):
         from dirquant import DataError, optimal_k_for_size, select_k
@@ -331,6 +332,8 @@ class TestFitDirection:
                 flag_outliers(data, u, 0.01, k=200)
             elif entry == "fit":
                 quantile.fit_direction(data, u, k=200)
+            elif entry == "fit_tails":
+                fit_tails(data, 200)
             elif entry == "select_k":
                 select_k(data, b1=10, seed=0)
             elif entry == "optimal_k_for_size":

@@ -224,7 +224,7 @@ class TestSortedCounting:
         assert counts.tolist() == [counting_oracle(sample, t) for t in thresholds]
 
     @pytest.mark.parametrize("d, n, q, sorted_path", [
-        (1, 300, 15, False), (1, 300, 16, True),
+        (1, 300, 15, False), (1, 300, 16, False),
         (2, 511, 1024, False), (2, 512, 127, False), (2, 512, 128, True),
         (2, 512, 1024, True), (2, 3000, 4000, True), (3, 600, 2000, False),
         # estimate-auto's 64 grid angles over 5000 rows, and flag-large's
@@ -261,8 +261,6 @@ class TestSortedCounting:
             kernels = {name: t.shape[0] for name, t in ran}
             if not sorted_path:
                 assert kernels == {"_exceedances_by_comparison": q}
-            elif d == 1:
-                assert kernels == {}
             else:
                 # every query takes the 2-D kernel, inf and nan included
                 assert kernels == {"_dominated_2d": q}
