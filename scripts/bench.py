@@ -251,19 +251,24 @@ def bench_counting(args) -> dict:
     query is counted with its second coordinate clamped to the running
     minimum along the arc, and the few queries whose coordinates rounded
     above that clamp also count the rows of a strip between the two.
+
+    It then times scattered 2-D queries, which a direct caller may pass:
+    128 and 256 random t (nu=3) points over 20 000 random t rows. Nearly
+    every one lies above its clamp, with a strip of thousands of rows.
+    Each is printed with the median of comparing every query with every
+    row, for reference.
     """
     probe = KernelProbe()
-    rows = []
-    for d, n in COUNTING_SIZES:
-        sample, thresholds = flag_queries(d, n)
+
+    def kernel_row(sample, thresholds) -> dict:
         probe.clear()
         ms = timed(lambda: stdf.union_exceedance_counts(sample, thresholds), args.repeat)
         # every call counts the same strips, so one call's are the
         # probe's totals over the untimed and the timed calls
         calls = args.repeat + 1
         r = {
-            "d": d,
-            "n": n,
+            "d": sample.shape[1],
+            "n": sample.shape[0],
             "queries": int(thresholds.shape[0]),
             "kernel": "+".join(sorted(probe.ran)),
             "above_clamp_queries": probe.above // calls,
@@ -271,11 +276,25 @@ def bench_counting(args) -> dict:
             "best_ms": min(ms),
             "median_ms": statistics.median(ms),
         }
-        rows.append(r)
-        print(f"d={d} n={n} q={r['queries']} {r['kernel']}, "
+        print(f"d={r['d']} n={r['n']} q={r['queries']} {r['kernel']}, "
               f"{r['above_clamp_queries']} above their clamp with {r['strip_rows']} "
               f"strip rows: best {r['best_ms']:.1f} ms, median {r['median_ms']:.1f} ms")
-    return {"seed": SEED, "repeat": args.repeat, "sizes": rows}
+        return r
+
+    rows = [kernel_row(*flag_queries(d, n)) for d, n in COUNTING_SIZES]
+    scattered = []
+    rng = np.random.default_rng(SEED)
+    # a direct caller's scattered 2-D queries, q random t points over n
+    # random t rows, nearly all above their clamp
+    for n, q in ((20_000, 128), (20_000, 256)):
+        sample, thresholds = rng.standard_t(3, (n, 2)), rng.standard_t(3, (q, 2))
+        r = kernel_row(sample, thresholds)
+        ms = timed(lambda: stdf._exceedances_by_comparison(sample, thresholds), args.repeat)
+        r["comparison_median_ms"] = statistics.median(ms)
+        print(f"  scattered: kernel median {r['median_ms']:.1f} ms, "
+              f"comparison median {r['comparison_median_ms']:.1f} ms")
+        scattered.append(r)
+    return {"seed": SEED, "repeat": args.repeat, "sizes": rows, "scattered": scattered}
 
 
 # ---------------------------------------------------------------------------

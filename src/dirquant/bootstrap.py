@@ -49,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError, ResamplingError, SmallSampleWarning, _readonly, _sample_columns
-from .evt import _descending_logs, _profiles_from_logs
+from .evt import MIN_ROWS, _descending_logs, _profiles_from_logs
 
 REDRAW_ATTEMPTS = 100
 DEFAULT_MIN_RETAINED = 10
@@ -465,26 +465,23 @@ def select_k(
 ) -> KSelection:
     """Full bootstrap selection of k(n) on a finite, pre-rotated sample.
 
-    Falls back to k = floor(sqrt(n)), at least 2, with a warning for n below
-    2000/2^d, where the resample sizes are too small for the two-stage
-    procedure to be meaningful. DataError below 3 rows, where no k lies
-    in [2, n - 1].
+    Falls back to k = floor(sqrt(n)) with a warning for n below 2000/2^d,
+    where the resample sizes are too small for the two-stage procedure to
+    be meaningful. DataError below ``MIN_ROWS``, which no fit accepts.
     """
     sample = _sample_columns(rotated_sample)
     n, d = sample.shape
-    if n < 3:
-        raise DataError(f"need at least 3 rows to select k in [2, n - 1], got {n}")
+    if n < MIN_ROWS:
+        raise DataError(f"need at least {MIN_ROWS} rows, got {n}")
     if not (0.0 < epsilon < 0.5):
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon!r}")
     m1 = int(math.floor(n ** (1.0 - epsilon)))
     m2 = (m1 * m1) // n
     if n < 2000 / 2**d:
-        root = math.isqrt(n)
-        k_hat = max(root, 2)  # in [2, n - 1] for n >= 3
-        clip = "" if k_hat == root else f", clipped to [2, n - 1]: k = {k_hat}"
+        k_hat = math.isqrt(n)  # in [7, n - 1] for n >= MIN_ROWS
         warnings.warn(
             f"n={n} is too small for the bootstrap selection in dimension {d}; "
-            f"falling back to k = floor(sqrt(n)) = {root}{clip}",
+            f"falling back to k = floor(sqrt(n)) = {k_hat}",
             SmallSampleWarning,
             stacklevel=2,
         )

@@ -23,6 +23,10 @@ from .errors import (
     _sample_columns,
 )
 
+# Fewest sample rows that a fit in one direction, or a selection of its k,
+# accepts.
+MIN_ROWS = 50
+
 
 @dataclass(frozen=True)
 class TailFit:

@@ -137,8 +137,13 @@ def qr_positive_diag(m: np.ndarray):
     return q * signs, t * signs[:, None]
 
 
-def rotation_for(u: Direction) -> RotationMatrix:
-    """Rotation R_u = Q_e Q_u' mapping direction u onto the diagonal e."""
+def rotation_for(u: Direction | RotationMatrix) -> RotationMatrix:
+    """Rotation R_u = Q_e Q_u' mapping direction u onto the diagonal e.
+
+    An already built rotation is returned unchanged.
+    """
+    if isinstance(u, RotationMatrix):
+        return u
     if not isinstance(u, Direction):
         u = Direction(np.asarray(u, dtype=float))
     d = u.d

@@ -16,13 +16,13 @@ import numpy as np
 
 from .bootstrap import KSelection, select_k
 from .errors import DataError, _readonly, _require_finite
-from .evt import TailFit, _require_heavy_tails, extrapolate, fit_tails, frechet_weights
+from .evt import (MIN_ROWS, TailFit, _require_heavy_tails, extrapolate, fit_tails,
+                  frechet_weights)
 from .geometry import Direction, RotationMatrix, rotate, rotation_for
 from .stdf import StdfContext, rho_hat_batch
 
 DEFAULT_GRID_M = 64
 DEFAULT_GRID_DELTA = 0.01
-MIN_ROWS = 50
 
 
 @dataclass(frozen=True)
@@ -208,6 +208,7 @@ def fit_direction(sample, u: Direction | RotationMatrix, k="auto", *,
 
     ``u`` is the direction or its already built rotation. With k="auto" the
     bootstrap selection (epsilon, b1, seed) supplies the sample fraction.
+    A rotated cell that overflows to +-inf raises DataError.
     """
     sample = np.asarray(sample, dtype=float)
     if sample.ndim != 2:
@@ -216,13 +217,19 @@ def fit_direction(sample, u: Direction | RotationMatrix, k="auto", *,
     if n < MIN_ROWS:
         raise DataError(f"need at least {MIN_ROWS} rows, got {n}")
     _require_finite(sample)
-    if not isinstance(u, (Direction, RotationMatrix)):
-        u = Direction(np.asarray(u, dtype=float))
-    if u.d != d:
-        raise ValueError(f"direction dimension {u.d} does not match data d={d}")
-
-    r = u if isinstance(u, RotationMatrix) else rotation_for(u)
-    rotated = rotate(r, sample)
+    r = rotation_for(u)
+    if r.d != d:
+        raise ValueError(f"direction dimension {r.d} does not match data d={d}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rotated = rotate(r, sample)
+    overflow = ~np.isfinite(rotated)
+    if overflow.any():
+        # the cells were finite, so only the rotation's sums can overflow
+        i, j = np.argwhere(overflow)[0]
+        raise DataError(
+            f"rotated sample cell at row {i + 1}, column {j + 1} overflowed to "
+            f"{float(rotated[i, j])!r}; rescale the sample"
+        )
     selection = None
     if isinstance(k, str):
         if k != "auto":
@@ -281,8 +288,7 @@ def tail_levels(
     fit = ctx.fit if fit is None else fit
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     _require_finite(zs, "point coordinate")
-    r = rotation_for(u) if not isinstance(u, RotationMatrix) else u
-    return _rotated_tail_levels(ctx, rotate(r, zs), fit)
+    return _rotated_tail_levels(ctx, rotate(rotation_for(u), zs), fit)
 
 
 def _rotated_tail_levels(ctx: StdfContext, zr: np.ndarray, fit: TailFit) -> np.ndarray:

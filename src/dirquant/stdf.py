@@ -12,10 +12,10 @@ monotone arc: sorted by the first coordinate, the second never rises, up
 to rounding. ``_dominated_2d`` clamps the second coordinate of the queries
 to its running minimum, counts the clamped chain with one interval per
 row, and adds, for each query above its clamp, the rows of the strip
-between the two. Infinite and nan thresholds take the same route, a nan
-as +inf. On an arc that takes O((n + q) log(n + q)) time and O(n + q)
-extra memory. Fewer queries, d = 1 and d >= 3 compare every query with
-every row, in O(q n d) time.
+between the two, each a slice of the rows' sorted order. Infinite and nan
+thresholds take the same route, a nan as +inf. That takes O(n + q) extra
+memory, and on an arc O((n + q) log(n + q)) time. Fewer queries, d = 1
+and d >= 3 compare every query with every row, in O(q n d) time.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from .errors import _readonly
 from .evt import TailFit, _require_heavy_tails, extrapolate
 
 # Largest number of pairwise comparisons materialized at once by the
-# batched counting kernel, two boolean buffers of this many cells, 4 MB;
-# and of strip rows gathered at once by the 2-D kernel.
+# comparison kernel, two boolean buffers of this many cells, 4 MB.
 _CHUNK_CELLS = 2_000_000
 
 
@@ -80,8 +79,7 @@ def union_exceedance_counts(sample: np.ndarray, thresholds: np.ndarray) -> np.nd
     # near 64-96 queries along an arc over 256 rows or more: over 5000
     # rows, 64 queries take 0.23 ms to compare and 0.30 ms sorted, 128
     # queries 0.45 and 0.30 ms, and over 20 000 rows 3.4 and 2.0 ms. Off an
-    # arc the strips widen: 128 random queries over 20 000 rows took 26 ms
-    # sorted.
+    # arc, 128 random queries over 20 000 rows take 2.1 and 3.0 ms.
     if d == 2 and q >= 128 and n >= 512:
         return n - _dominated_2d(sample, thr)
     return _exceedances_by_comparison(sample, thr)
@@ -151,8 +149,8 @@ def _dominated_2d(cols: np.ndarray, thr: np.ndarray) -> np.ndarray:
     extrapolated thresholds few queries have a strip: where one angle
     component rounds to 1, queries share one coordinate to within ulps
     while the other still varies. There the kernel takes
-    O((n + q) log(n + q)) time and O(n + q) extra memory; elsewhere the
-    strips add their total length, up to q n.
+    O((n + q) log(n + q)) time; elsewhere the strips add their total
+    length, up to q n, and a Python step each. Memory stays O(n + q).
     """
     q = thr.shape[0]
     by_t1 = np.argsort(thr[:, 0])
@@ -185,29 +183,11 @@ def _strip_counts(x1: np.ndarray, order: np.ndarray, start: np.ndarray,
                   stop: np.ndarray, t1: np.ndarray) -> np.ndarray:
     """#{i in [start, stop) : x1[order[i]] <= t1} for each strip; a nan never exceeds.
 
-    The strips are gathered a chunk at a time, each of at most
-    ``_CHUNK_CELLS`` rows unless one strip alone is longer.
+    Each strip is one slice of ``order``, counted by one comparison.
     """
-    out = np.zeros(start.size, dtype=np.int64)
-    length = stop - start
-    strips = np.flatnonzero(length)
-    ends = np.cumsum(length[strips])
-    i = 0
-    while i < strips.size:
-        base = ends[i] - length[strips[i]]
-        j = max(i + 1, int(np.searchsorted(ends, base + _CHUNK_CELLS, side="right")))
-        s = strips[i:j]
-        first = ends[i:j] - length[s] - base
-        # the places of each strip in turn
-        at = np.arange(ends[j - 1] - base)
-        at += np.repeat(start[s] - first, length[s])
-        at = order.take(at)
-        x = x1.take(at)
-        del at
-        exceeds = np.greater(x, np.repeat(t1[s], length[s]))
-        del x
-        out[s] = length[s] - np.add.reduceat(exceeds, first)
-        i = j
+    out = stop - start
+    for i in np.flatnonzero(out):
+        out[i] -= np.count_nonzero(x1[order[start[i]:stop[i]]] > t1[i])
     return out
 
 

@@ -374,7 +374,7 @@ def theoretical_rho(theta, params: TParams, u: Direction | RotationMatrix):
     theta = np.asarray(theta, dtype=float)
     if (theta <= 0).any():
         raise ValueError("theta must be interior (all components positive)")
-    rotated = rotate_elliptical(params, u if isinstance(u, RotationMatrix) else rotation_for(u))
+    rotated = rotate_elliptical(params, rotation_for(u))
     return t_stdf(theta, rotated.correlation(), rotated.nu)
 
 
@@ -425,7 +425,7 @@ def model_oracle(params: TParams, u: Direction | RotationMatrix, alpha: float, t
     value bit for bit. ``u`` is the direction or its already built rotation.
     """
     theta = np.asarray(theta, dtype=float)
-    r = u if isinstance(u, RotationMatrix) else rotation_for(u)
+    r = rotation_for(u)
     a, b = theoretical_norm_sequences(rotate_elliptical(params, r), t)
     rho = theoretical_rho(theta, params, r)
     x = extrapolate(np.asarray(rho)[..., None] * theta / (t * alpha), a, b, params.gamma)

@@ -25,6 +25,7 @@ from dirquant import (
 )
 from dirquant import bootstrap
 from dirquant.errors import SmallSampleWarning
+from dirquant.evt import MIN_ROWS
 
 from oracles import bootstrap_error, orthant_leq
 
@@ -591,22 +592,25 @@ class TestSelectK:
         assert sel.k_hat == 20
         assert sel.k_j_m1 is None and sel.k_j_m2 is None and sel.pi_j is None
 
-    @pytest.mark.parametrize("n, k_hat, stated", [
-        # floor(sqrt(3)) = 1 is raised to the least k in [2, n - 1]
-        (3, 2, "1, clipped to [2, n - 1]: k = 2"), (4, 2, "2"), (9, 3, "3"),
-    ])
-    def test_fallback_warning_states_its_k(self, n, k_hat, stated):
+    @pytest.mark.parametrize("n, k_hat", [(MIN_ROWS, 7), (63, 7), (64, 8), (499, 22)])
+    def test_fallback_warning_states_its_k(self, n, k_hat):
+        # from MIN_ROWS = 50 up to 2000/2^d = 500 rows in 2-D
         with pytest.warns(SmallSampleWarning) as record:
             sel = select_k(np.full((n, 2), 1.5))
         assert [str(w.message) for w in record] == [
             f"n={n} is too small for the bootstrap selection in dimension 2; "
-            f"falling back to k = floor(sqrt(n)) = {stated}"]
+            f"falling back to k = floor(sqrt(n)) = {k_hat}"]
         assert sel.fallback and sel.k_hat == k_hat
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_fewer_than_three_rows_is_a_data_error(self, n):
-        # no k lies in [2, n - 1]
-        with pytest.raises(DataError, match=f"need at least 3 rows .*, got {n}$"):
+        with pytest.raises(DataError, match=f"^need at least 50 rows, got {n}$"):
+            select_k(np.full((n, 2), 1.5))
+
+    @pytest.mark.parametrize("n", [3, MIN_ROWS - 1])
+    def test_fewer_than_min_rows_is_a_data_error(self, n):
+        # the fewest rows that any fit accepts, so no fit could use the k
+        with pytest.raises(DataError, match=f"^need at least 50 rows, got {n}$"):
             select_k(np.full((n, 2), 1.5))
 
     def test_tiny_m2_rejected(self):

@@ -341,8 +341,10 @@ class TestCommands:
         calls = []
 
         def counted(u):
-            calls.append(u)
-            return real(u)
+            r = real(u)
+            if r is not u:  # an already built rotation passes through
+                calls.append(u)
+            return r
 
         for module in (cli, study, tmodel, quantile):
             monkeypatch.setattr(module, "rotation_for", counted)
@@ -589,6 +591,29 @@ class TestExitCodes:
         assert "non-finite cell at row 700, column 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_data_error_rotation_overflow(self, data_csv, tmp_path):
+        # a fresh process, so that stderr holds whatever numpy would print
+        lines = open(data_csv).read().splitlines()
+        lines[6] = "1.7e308,1.7e308"
+        bad = tmp_path / "huge.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        message = ("rotated sample cell at row 6, column 1 overflowed to inf; "
+                   "rescale the sample")
+        for command in (["estimate", "--alpha", "1/1500", "--k", "150", "--grid", "4"],
+                        ["flag", "--alpha", "0.01", "--k", "150"]):
+            out = tmp_path / "out.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "dirquant.cli", *command, "--input", str(bad),
+                 "--has-header", "--direction", "0.3,1", "--output", str(out)],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+            )
+            assert proc.returncode == 3
+            assert proc.stderr.count("\n") == 1
+            assert json.loads(proc.stderr) == {"error": "DataError", "message": message}
+            assert not out.exists()
+
     @pytest.mark.parametrize("direction, index, value", [
         ("nan,1", 0, "nan"), ("1,inf", 1, "inf"),
     ])
@@ -700,22 +725,19 @@ class TestExitCodes:
         out = tmp_path / "k.json"
         assert main(["select-k", "--input", str(data), "--output", str(out)]) == 3
         assert json.loads(capsys.readouterr().err) == {
-            "error": "DataError",
-            "message": f"need at least 3 rows to select k in [2, n - 1], got {rows}"}
+            "error": "DataError", "message": f"need at least 50 rows, got {rows}"}
         assert not out.exists()
 
-    def test_select_k_on_three_rows_states_the_clip(self, tmp_path, capsys):
+    @pytest.mark.parametrize("rows", [3, 49])
+    def test_select_k_below_the_fit_minimum(self, rows, tmp_path, capsys):
+        # no fit accepts fewer than 50 rows, so no k is selected for one
         data = tmp_path / "few.csv"
-        data.write_text("1.5,2.5\n" * 3)
+        data.write_text("1.5,2.5\n" * rows)
         out = tmp_path / "k.json"
-        assert main(["select-k", "--input", str(data), "--output", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert (doc["k_hat"], doc["fallback"]) == (2, True)
-        assert doc["warnings"] == [{
-            "category": "SmallSampleWarning",
-            "message": "n=3 is too small for the bootstrap selection in dimension 2; "
-                       "falling back to k = floor(sqrt(n)) = 1, clipped to [2, n - 1]: "
-                       "k = 2"}]
+        assert main(["select-k", "--input", str(data), "--output", str(out)]) == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "DataError", "message": f"need at least 50 rows, got {rows}"}
+        assert not out.exists()
 
     def test_error_object_is_one_json_line(self, monkeypatch, capsys):
         def fail(cfg):

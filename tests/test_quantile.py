@@ -344,6 +344,19 @@ class TestFitDirection:
         what = "point coordinate" if entry == "levels" else "sample cell"
         assert str(info.value) == f"non-finite {what} at row 3, column 2: {bad!r}"
 
+    @pytest.mark.parametrize("k", [20, "auto"])
+    def test_rotation_overflow_named(self, k):
+        # every cell is finite, but row 6's rotated first cell sums past the
+        # float maximum; numpy's overflow warning is not let out either
+        from dirquant import DataError
+
+        sample = np.random.default_rng(0).uniform(size=(200, 2)) ** -0.5
+        sample[5] = 1.7e308
+        with pytest.raises(DataError) as info:
+            quantile.fit_direction(sample, Direction.from_vector([0.3, 1.0]), k=k)
+        assert str(info.value) == ("rotated sample cell at row 6, column 1 overflowed "
+                                   "to inf; rescale the sample")
+
     @pytest.mark.parametrize("k", [0, -3, "n", "2n"])
     def test_k_outside_range_rejected(self, k, sample_2d):
         # the range check comes before the order statistic is read

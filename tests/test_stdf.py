@@ -293,9 +293,8 @@ class TestChainCounting:
         assert counts.dtype == np.int64
         assert counts.tolist() == [counting_oracle(sample, t) for t in thresholds]
 
-    def test_strips_in_small_chunks_match_comparison(self, monkeypatch):
-        # chunks of at most 7 strip rows, and strips longer than a chunk
-        monkeypatch.setattr(stdf, "_CHUNK_CELLS", 7)
+    def test_wide_strips_match_comparison(self, monkeypatch):
+        # random queries: strips of over a hundred rows each on average
         strips = StripProbe(monkeypatch)
         rng = np.random.default_rng(8)
         for n, q in [(1, 5), (40, 40), (700, 301)]:
@@ -346,10 +345,9 @@ class TestChainCounting:
             tracemalloc.stop()
         assert peak <= 40 * (n + q)
 
-    def test_peak_memory_of_wide_strips_is_bounded_by_chunks(self, monkeypatch):
-        # random queries: 5.9 M strip rows over n = 3000, gathered in
-        # chunks of at most 2 M rows. The kernel traced 36 MB at its peak
-        # with numpy 2.4.
+    def test_peak_memory_of_wide_strips_is_linear_in_rows_and_queries(self, monkeypatch):
+        # random queries: 5.9 M strip rows over n = 3000, counted one strip
+        # at a time. The kernel traced 0.5 MB at its peak with numpy 2.4.
         rng = np.random.default_rng(4)
         n, q = 3000, 4000
         sample = rng.standard_t(3, (n, 2))
@@ -361,5 +359,5 @@ class TestChainCounting:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert strips.rows > 2 * stdf._CHUNK_CELLS
-        assert peak < 48_000_000
+        assert strips.rows > 800 * (n + q)
+        assert peak <= 200 * (n + q)
