@@ -329,10 +329,13 @@ def flag_command(tmp: str, sample: np.ndarray, result, fmt: str):
 def bench_cli_io(args) -> dict:
     """Fixed-seed timing of the CLI's CSV reader and its JSON and CSV writers.
 
-    Times four steps, each on fixed-seed inputs:
+    Times five steps, each on fixed-seed inputs:
 
     - ``parse_csv``: a 10 000-row 2-D file of 17-digit cells with a header
       line, as the benchmark in ``perfbench/`` writes its inputs;
+    - ``rotate_csv``: the ``rotate --format csv`` command on that file in
+      direction (0.3, 1), so it reads, rotates with the overflow check and
+      writes the 10 000 rotated rows;
     - ``surface_json``: ``_json_text``, the standard library's C encoder,
       on the 64-point surface that ``oracle-t --grid 8`` writes for the
       paper's 3-D model;
@@ -354,6 +357,9 @@ def bench_cli_io(args) -> dict:
         flags = flag_outliers(sample, diagonal_direction(2), 0.01, 200)
         steps = {
             "parse_csv": lambda: cli.parse_csv(csv_path, has_header=True),
+            "rotate_csv": lambda: run_cli([
+                "rotate", "--input", csv_path, "--has-header", "--direction", "0.3,1",
+                "--format", "csv", "--output", os.path.join(tmp, "rotated.csv")]),
             "surface_json": lambda: cli._json_text(doc),
             "flag_csv": flag_command(tmp, sample, flags, "csv"),
             "flag_json": flag_command(tmp, sample, flags, "json"),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FactorizationError, InvalidDirectionError, _readonly
+from .errors import DataError, FactorizationError, InvalidDirectionError, _readonly
 
 NONNULL_TOL = 1e-8
 UNIT_TOL = 1e-12
@@ -161,7 +161,8 @@ def rotation_for(u: Direction | RotationMatrix) -> RotationMatrix:
 
 
 def rotate(r: RotationMatrix, points) -> np.ndarray:
-    """Apply a rotation to one point or to rows of points."""
+    """Apply a rotation to one point (counted as row 1) or to rows of points. DataError
+    names the first overflowed cell of a finite row; a non-finite row passes through."""
     entries = r.entries if isinstance(r, RotationMatrix) else np.asarray(r, dtype=float)
     pts = np.asarray(points, dtype=float)
     d = entries.shape[0]
@@ -169,5 +170,14 @@ def rotate(r: RotationMatrix, points) -> np.ndarray:
         raise ValueError(f"points have dimension {pts.shape[-1]}, rotation expects {d}")
     if (entries == np.eye(d)).all():
         return pts.copy()
-    return pts @ entries.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = pts @ entries.T
+    if not np.isfinite(out).all():
+        rows = out.reshape(-1, d)
+        bad = ~np.isfinite(rows) & np.isfinite(pts.reshape(-1, d)).all(axis=1, keepdims=True)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise DataError(f"rotated sample cell at row {i + 1}, column {j + 1} overflowed to "
+                            f"{float(rows[i, j])!r}; rescale the sample")
+    return out
 

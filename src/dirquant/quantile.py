@@ -206,9 +206,8 @@ def fit_direction(sample, u: Direction | RotationMatrix, k="auto", *,
                   epsilon: float = 0.25, b1: int = 1000, seed: int = 0) -> DirectionalFit:
     """Rotate a finite (n, d) sample into direction u and fit its marginal tails.
 
-    ``u`` is the direction or its already built rotation. With k="auto" the
-    bootstrap selection (epsilon, b1, seed) supplies the sample fraction.
-    A rotated cell that overflows to +-inf raises DataError.
+    ``u`` is the direction or its already built rotation; ``rotate`` refuses an
+    overflow. With k="auto" the bootstrap selection (epsilon, b1, seed) supplies k.
     """
     sample = np.asarray(sample, dtype=float)
     if sample.ndim != 2:
@@ -220,16 +219,7 @@ def fit_direction(sample, u: Direction | RotationMatrix, k="auto", *,
     r = rotation_for(u)
     if r.d != d:
         raise ValueError(f"direction dimension {r.d} does not match data d={d}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        rotated = rotate(r, sample)
-    overflow = ~np.isfinite(rotated)
-    if overflow.any():
-        # the cells were finite, so only the rotation's sums can overflow
-        i, j = np.argwhere(overflow)[0]
-        raise DataError(
-            f"rotated sample cell at row {i + 1}, column {j + 1} overflowed to "
-            f"{float(rotated[i, j])!r}; rescale the sample"
-        )
+    rotated = rotate(r, sample)
     selection = None
     if isinstance(k, str):
         if k != "auto":
@@ -281,9 +271,10 @@ def tail_levels(
 ) -> np.ndarray:
     """Vectorized tail levels alpha_z for points in original coordinates.
 
-    ``u`` is the direction or its already built rotation. Points whose
-    Frechet weights all vanish are outside the extremal region and get
-    alpha_z = +inf; a non-finite coordinate raises DataError.
+    ``u`` is the direction or its already built rotation. A non-finite
+    coordinate, or a rotated one that overflows, raises DataError. Points
+    whose Frechet weights all vanish are outside the extremal region and
+    get alpha_z = +inf; points whose weights overflow get alpha_z = 0.0.
     """
     fit = ctx.fit if fit is None else fit
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
@@ -295,10 +286,13 @@ def _rotated_tail_levels(ctx: StdfContext, zr: np.ndarray, fit: TailFit) -> np.n
     """``tail_levels`` of finite points already in rotated coordinates."""
     gam = fit.gamma_marginal
     _require_heavy_tails(gam)
-    w = frechet_weights(zr, fit.a, fit.b, gam)
-    norms = np.linalg.norm(w, axis=1)
+    with np.errstate(over="ignore"):
+        w = frechet_weights(zr, fit.a, fit.b, gam)
+        norms = np.linalg.norm(w, axis=1)
     out = np.full(zr.shape[0], np.inf)
-    inside = norms > 0
+    # an overflowed weight norm gives (k/n) rho/||w|| its float limit 0.0, with no angle
+    out[norms == np.inf] = 0.0
+    inside = (norms > 0) & (norms < np.inf)
     if inside.any():
         thetas = w[inside] / norms[inside, None]
         rhos, _ = rho_hat_batch(ctx, thetas)

@@ -602,14 +602,16 @@ class TestExitCodes:
         message = ("rotated sample cell at row 6, column 1 overflowed to inf; "
                    "rescale the sample")
         for command in (["estimate", "--alpha", "1/1500", "--k", "150", "--grid", "4"],
-                        ["flag", "--alpha", "0.01", "--k", "150"]):
+                        ["flag", "--alpha", "0.01", "--k", "150"],
+                        ["rotate", "--format", "csv"], ["rotate", "--format", "json"],
+                        ["select-k"]):
             out = tmp_path / "out.json"
             proc = subprocess.run(
                 [sys.executable, "-m", "dirquant.cli", *command, "--input", str(bad),
                  "--has-header", "--direction", "0.3,1", "--output", str(out)],
                 capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
             )
-            assert proc.returncode == 3
+            assert proc.returncode == 3, command
             assert proc.stderr.count("\n") == 1
             assert json.loads(proc.stderr) == {"error": "DataError", "message": message}
             assert not out.exists()

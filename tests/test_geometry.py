@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirquant import (
+    DataError,
     Direction,
     FactorizationError,
     InvalidDirectionError,
@@ -150,6 +151,47 @@ class TestRotate:
         r = rotation_for(diagonal_direction(2))
         with pytest.raises(ValueError):
             rotate(r, np.ones(3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(2, 4), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           point=st.booleans(), identity=st.booleans(),
+           non_finite=st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    def test_refuses_exactly_the_overflowed_cells(self, d, n, seed, point, identity,
+                                                  non_finite):
+        # rows scaled toward the float maximum, whose rotated sums may overflow;
+        # a row given a non-finite cell passes through as the product makes it
+        rng = np.random.default_rng(seed)
+        u = diagonal_direction(d) if identity else random_direction(rng, d)
+        r = rotation_for(u)
+        scale = np.finfo(float).max * 10.0 ** -rng.uniform(0.0, 0.5, (n, 1))
+        pts = rng.uniform(0.5, 1.0, (n, d)) * rng.choice([-1.0, 1.0], (n, d)) * scale
+        if non_finite is not None:
+            pts[rng.integers(n), rng.integers(d)] = non_finite
+        if point:
+            pts = pts[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = pts.copy() if identity else pts @ r.entries.T
+        rows = np.atleast_2d(expected)
+        bad = np.argwhere(~np.isfinite(rows)
+                          & np.isfinite(np.atleast_2d(pts)).all(axis=1, keepdims=True))
+        if bad.size:
+            i, j = bad[0]
+            with pytest.raises(DataError) as info:
+                rotate(r, pts)
+            assert str(info.value) == (
+                f"rotated sample cell at row {i + 1}, column {j + 1} overflowed to "
+                f"{float(rows[i, j])!r}; rescale the sample")
+        else:
+            out = rotate(r, pts)
+            assert out.shape == pts.shape
+            assert np.array_equal(out, expected, equal_nan=True)
+
+    def test_point_counts_as_row_one(self):
+        r = rotation_for(Direction.from_vector([0.3, 1.0]))
+        with pytest.raises(DataError) as info:
+            rotate(r, np.array([1.7e308, 1.7e308]))
+        assert str(info.value) == ("rotated sample cell at row 1, column 1 overflowed "
+                                   "to inf; rescale the sample")
 
 
 class TestOrthantOrder:

@@ -357,6 +357,36 @@ class TestFitDirection:
         assert str(info.value) == ("rotated sample cell at row 6, column 1 overflowed "
                                    "to inf; rescale the sample")
 
+    def test_levels_refuse_rotated_overflow(self, params_2d):
+        # the point is finite, but its rotated first cell sums past the float maximum
+        from dirquant import DataError
+
+        fitted = quantile.fit_direction(sample_t(params_2d, 2000, 1),
+                                        Direction.from_vector([0.3, 1.0]), k=100)
+        with pytest.raises(DataError) as info:
+            fitted.levels([1.7e308, 1.7e308])
+        assert str(info.value) == ("rotated sample cell at row 1, column 1 overflowed "
+                                   "to inf; rescale the sample")
+
+    def test_overflowed_frechet_weights_give_level_zero(self, params_2d, monkeypatch):
+        # (1e150)^(1/gamma) overflows; (k/n) rho/||w|| has the float limit 0.0,
+        # and the overflowed point sends no angle to the radius
+        fitted = quantile.fit_direction(sample_t(params_2d, 2000, 1),
+                                        diagonal_direction(2), k=100)
+        real, angles = quantile.rho_hat_batch, []
+
+        def spy(ctx, thetas):
+            angles.append(thetas)
+            return real(ctx, thetas)
+
+        monkeypatch.setattr(quantile, "rho_hat_batch", spy)
+        assert fitted.levels([1e150, 1e150]).tolist() == [0.0]
+        assert angles == []
+        both = fitted.levels([[1e150, 1e150], [40.0, 40.0]])
+        assert both[0] == 0.0 and both[1] == fitted.levels([40.0, 40.0])[0]
+        assert len(angles) == 2 and all(t.shape == (1, 2) for t in angles)
+        assert all(np.isfinite(t).all() for t in angles)
+
     @pytest.mark.parametrize("k", [0, -3, "n", "2n"])
     def test_k_outside_range_rejected(self, k, sample_2d):
         # the range check comes before the order statistic is read
