@@ -46,6 +46,7 @@ from dirquant import (
     sample_t,
     select_k,
     stdf,
+    tmodel,
 )
 from dirquant.errors import TailDisparityWarning
 from dirquant.evt import extrapolate, frechet_weights
@@ -381,6 +382,61 @@ def bench_cli_io(args) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# oracle
+
+# df of the bivariate t distribution functions: the paper's 3-D model
+# (nu=4) takes the closed form, the other two the quadrature
+ORACLE_DFS = (5.0, 48.5, 100.5)
+
+
+def oracle_arguments(nu: float) -> tuple:
+    """The bivariate t arguments (x1, x2, r) and df of the 3-D t model's
+    radius over a grid-8 oracle in direction fpc, three per angle."""
+    params = TParams(np.zeros(3), SIGMA_3D, nu)
+    grid = dirquant.theta_grid(3, 8)
+    real, seen = tmodel._t2_cdf, []
+    tmodel._t2_cdf = lambda *args: seen.append(args) or real(*args)
+    try:
+        tmodel.theoretical_rho(grid.thetas, params, fpc_direction(SIGMA_3D))
+    finally:
+        tmodel._t2_cdf = real
+    (args,) = seen
+    return args
+
+
+def bench_oracle(args) -> dict:
+    """Fixed-input timing of the t-model oracle's bivariate t kernel and command.
+
+    Times ``tmodel._t2_cdf`` on the 192 arguments of the paper's 3-D t
+    model over a grid-8 oracle in direction fpc (three per angle, as
+    ``t_stdf`` passes them), with the model's nu set so that the df is 5,
+    48.5 and 100.5. Df 5 takes the closed form; the other two take the
+    tanh-sinh quadrature, whose step shrinks with the df above 40. The
+    arguments are read by wrapping ``tmodel._t2_cdf`` for one untimed call.
+    It then times the ``oracle-t --grid 8`` command through in-process
+    ``cli.main``: the paper's 3-D model (nu=4) in direction fpc at alpha
+    1/5000, n=5000 and k=100, with JSON written to a temporary file, as
+    the benchmark's ``oracle-3d`` workload runs it.
+    """
+    kernel = {}
+    for df in ORACLE_DFS:
+        x1, x2, r, nu = oracle_arguments(df - 1.0)
+        ms = timed(lambda: tmodel._t2_cdf(x1, x2, r, nu), args.repeat)
+        kernel[str(df)] = {"arguments": int(x1.size), "best_ms": min(ms),
+                           "median_ms": statistics.median(ms)}
+        print(f"_t2_cdf df {df:g}, {x1.size} arguments: best {min(ms):.2f} ms, "
+              f"median {statistics.median(ms):.2f} ms")
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["oracle-t", "--mu", "0,0,0", "--sigma", option(SIGMA_3D), "--nu", "4",
+                "--direction", "fpc", "--alpha", "1/5000", "--n", "5000", "--k", "100",
+                "--grid", "8", "--output", os.path.join(tmp, "oracle.json")]
+        ms = timed(lambda: run_cli(argv), args.repeat)
+    command = {"argv": argv[:-2], "best_ms": min(ms), "median_ms": statistics.median(ms)}
+    print(f"oracle-t --grid 8: best {min(ms):.2f} ms, median {statistics.median(ms):.2f} ms")
+    return {"repeat": args.repeat, "t2_cdf": kernel, "oracle_t": command}
+
+
+# ---------------------------------------------------------------------------
 # startup
 
 
@@ -468,6 +524,7 @@ SECTIONS = {
     "select-k": (bench_select_k, 7, "timed calls per sample", "select_k"),
     "counting": (bench_counting, 7, "timed calls per size", "counting"),
     "cli-io": (bench_cli_io, 15, "timed calls per step", "cli_io"),
+    "oracle": (bench_oracle, 15, "timed calls per step", "oracle"),
     "startup": (bench_startup, 9, "timed rounds", "startup"),
 }
 

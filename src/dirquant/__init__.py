@@ -57,7 +57,6 @@ from .quantile import (
 )
 from .stdf import StdfContext, rho_hat_batch
 from .tmodel import (
-    ModelFit,
     TParams,
     asymptotic_quantile,
     fpc_direction,
@@ -84,7 +83,7 @@ __all__ = [
     "KSelection", "optimal_k_for_size", "convergence_rate", "select_k",
     "TParams", "sample_t", "rotate_elliptical", "fpc_direction", "t_cdf", "t_stdf",
     "theoretical_rho", "theoretical_norm_sequences", "asymptotic_quantile",
-    "ModelFit", "relative_error",
+    "relative_error",
     "DirquantError", "DataError", "NumericalError", "InvalidDirectionError",
     "PositivityError", "HeavyTailError", "DegenerateMomentsError",
     "DegenerateModelError", "UnsupportedDimensionError", "ResamplingError",

@@ -34,8 +34,11 @@ import numpy as np
 
 from .bootstrap import select_k
 from .errors import DataError, DirquantError, NumericalError
+from .evt import TailFit
 from .geometry import Direction, diagonal_direction, rotate, rotation_for
 from .quantile import (
+    DEFAULT_GRID_DELTA,
+    DEFAULT_GRID_M,
     QuantileSurface,
     estimate_surface,
     flag_outliers,
@@ -43,7 +46,7 @@ from .quantile import (
     theta_grid,
 )
 from .study import StudyResult, run_study
-from .tmodel import ModelFit, TParams, fpc_direction, model_oracle, sample_t
+from .tmodel import TParams, fpc_direction, model_oracle, sample_t
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +289,8 @@ class RunConfig:
     alpha: Optional[str] = _option(None, "level, decimal or fraction like 1/5000")
     k: str = _option("auto", "sample fraction: integer, or 'auto' to select it by "
                      "bootstrap (not for oracle-t)")
-    grid: int = _option(64, "grid resolution per angle", type=int)
-    delta: float = _option(0.01, "grid margin in radians", type=float)
+    grid: int = _option(DEFAULT_GRID_M, "grid resolution per angle", type=int)
+    delta: float = _option(DEFAULT_GRID_DELTA, "grid margin in radians", type=float)
     epsilon: float = _option(0.25, "bootstrap exponent", type=float)
     b1: int = _option(1000, "bootstrap resample count", type=int)
     seed: int = _option(0, "RNG seed", type=int)
@@ -525,8 +528,7 @@ def cmd_oracle_t(cfg: RunConfig) -> int:
     grid = theta_grid(params.d, cfg.grid, cfg.delta)
     r = rotation_for(u)
     oracle = model_oracle(params, r, alpha, grid.thetas, cfg.n / k)
-    fit = ModelFit(k, np.full(params.d, params.gamma), params.gamma, oracle.a, oracle.b,
-                   cfg.n)
+    fit = TailFit(k, np.full(params.d, params.gamma), params.gamma, oracle.a, oracle.b, cfg.n)
     surface = QuantileSurface.from_rotated(alpha, r, grid.thetas, oracle.x_rotated,
                                            oracle.rho, np.zeros(len(grid), dtype=bool), fit)
     doc = {**surface.to_dict(), "source": "oracle"}

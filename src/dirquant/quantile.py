@@ -27,18 +27,19 @@ DEFAULT_GRID_DELTA = 0.01
 
 @dataclass(frozen=True)
 class ThetaGrid:
-    """Unit angular grid with all components bounded away from the axes."""
+    """Unit angular grid with all components bounded away from the axes.
+
+    ``thetas`` holds one unit vector (d,) per row; ``angles`` holds its d - 1
+    spherical angles, the columns ``mc-study`` writes as phi_1, ..., phi_(d-1).
+    """
 
     thetas: np.ndarray
-    m: int
-    delta: float
-    angles: Optional[np.ndarray] = None
+    angles: np.ndarray
 
     def __post_init__(self):
-        t = _readonly(self.thetas)
-        object.__setattr__(self, "thetas", t)
-        if self.angles is not None:
-            object.__setattr__(self, "angles", _readonly(self.angles))
+        for name in ("thetas", "angles"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        t = self.thetas
         if (np.abs(np.linalg.norm(t, axis=1) - 1.0) > 1e-12).any():
             raise ValueError("grid angles must have unit norm within 1e-12")
         if (t <= 0).any():
@@ -58,14 +59,12 @@ def theta_grid(d: int, m: int = DEFAULT_GRID_M, delta: float = DEFAULT_GRID_DELT
     Angles are spaced as delta + span * i/(m-1), which makes refinement
     from m to 2m-1 points reproduce the original angles bit-identically.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    if d < 2:
+        raise ValueError(f"dimension must be >= 2, got {d}")
     if m < 2:
         raise ValueError(f"need m >= 2 grid values per angle, got {m}")
     if not (0.0 < delta < np.pi / 4):
         raise ValueError(f"delta must lie in (0, pi/4), got {delta!r}")
-    if d == 1:
-        return ThetaGrid(np.ones((1, 1)), m, delta, angles=np.zeros((1, 0)))
     span = np.pi / 2 - 2.0 * delta
     angles = delta + span * (np.arange(m) / (m - 1))
     mesh = np.meshgrid(*([angles] * (d - 1)), indexing="ij")
@@ -79,7 +78,12 @@ def theta_grid(d: int, m: int = DEFAULT_GRID_M, delta: float = DEFAULT_GRID_DELT
     # renormalize: trigonometric products stay within 1e-15 of unit norm,
     # the division pins the invariant exactly
     out /= np.linalg.norm(out, axis=1)[:, None]
-    return ThetaGrid(out, m, delta, angles=phis)
+    return ThetaGrid(out, phis)
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
 
 
 def quantile_point(fit: TailFit, rho, theta, alpha: float) -> np.ndarray:
@@ -88,8 +92,7 @@ def quantile_point(fit: TailFit, rho, theta, alpha: float) -> np.ndarray:
     One radius and angle (d,) give one point; g radii and angles (g, d) give g rows.
     """
     theta = np.asarray(theta, dtype=float)
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     gam = fit.gamma_marginal
     _require_heavy_tails(gam)
     base = (fit.k * np.asarray(rho, dtype=float)[..., None] * theta) / (fit.n * alpha)
@@ -103,8 +106,8 @@ class QuantileSurface:
     """Quantile surface at level alpha in one direction.
 
     ``thetas``, ``x_rotated``, ``x_original``, ``rho`` and ``floored`` hold
-    one row per grid angle. ``fit`` is the estimate's TailFit, or another
-    object with its fields and ``to_dict`` (the t-model oracle's ModelFit).
+    one row per grid angle. ``fit`` is the marginal normalization: the
+    estimate's, or the model's at anchor t = n/k for ``oracle-t``.
     """
 
     alpha: float
@@ -119,8 +122,7 @@ class QuantileSurface:
     center_offset: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        _check_alpha(self.alpha)
         dev = np.abs(self.x_original - self.x_rotated @ self.rotation.entries).max()
         if dev > 1e-10:
             raise ValueError(f"inverse-rotation invariant violated by {dev!r}")
@@ -274,7 +276,8 @@ def tail_levels(
     ``u`` is the direction or its already built rotation. A non-finite
     coordinate, or a rotated one that overflows, raises DataError. Points
     whose Frechet weights all vanish are outside the extremal region and
-    get alpha_z = +inf; points whose weights overflow get alpha_z = 0.0.
+    get alpha_z = +inf; points with a weight that overflows, or whose weight
+    norm overflows even when scaled by its largest weight, get alpha_z = 0.0.
     """
     fit = ctx.fit if fit is None else fit
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
@@ -289,6 +292,12 @@ def _rotated_tail_levels(ctx: StdfContext, zr: np.ndarray, fit: TailFit) -> np.n
     with np.errstate(over="ignore"):
         w = frechet_weights(zr, fit.a, fit.b, gam)
         norms = np.linalg.norm(w, axis=1)
+        # a norm whose squares overflow while its weights stay finite is
+        # taken as top ||w/top||, with top the largest weight of the row
+        scaled = (norms == np.inf) & np.isfinite(w).all(axis=1)
+        if scaled.any():
+            top = w[scaled].max(axis=1)
+            norms[scaled] = top * np.linalg.norm(w[scaled] / top[:, None], axis=1)
     out = np.full(zr.shape[0], np.inf)
     # an overflowed weight norm gives (k/n) rho/||w|| its float limit 0.0, with no angle
     out[norms == np.inf] = 0.0
@@ -330,7 +339,9 @@ def flag_outliers(
     interior and never flagged. A tail level is computed to a few ulps, so
     a row whose level equals alpha to that precision, such as a point of
     the level-alpha surface, can land on either side of alpha_z < alpha.
+    An alpha outside (0, 1), nan included, raises ValueError before the fit.
     """
+    _check_alpha(alpha)
     fitted = fit_direction(sample, u, k, epsilon=epsilon, b1=b1, seed=seed)
     fit = fitted.fit
     # the sample was checked finite and rotated by fit_direction

@@ -16,13 +16,15 @@ df/2 or (df-1)/2 recurrence steps over every argument at once, with
 absolute error below 4e-15 against 30-digit mpmath values up to df 2000.
 Other df take a quadrature: the outer coordinate is mapped onto a finite
 angle, the range is split at the kink of the inner t distribution
-function, and a fixed 141-node tanh-sinh rule (Takahasi and Mori, 1974)
-is applied to each part, with every node of every angle in one
-``special.stdtr`` call. Against 30-digit mpmath values (|r| <= 0.99,
-|x| <= 1e3) its absolute error is below 2e-13 for df from 1 to 40 and
-1e-12 down to df 0.7, but it grows beyond df 40 at large arguments:
-1e-11 at df 48.5, 5e-9 at df 64.5 and 5e-6 at df 100.5, each at
-x1 = 1e3. Normalization sequences use the inverse t distribution function
+function, and a tanh-sinh rule (Takahasi and Mori, 1974) is applied to
+each part, with every node of every angle in one ``special.stdtr`` call
+per block. Its step is 1/20 (141 nodes) up to df 40 and (1/20) sqrt(40/df)
+above it, where the integrand's peak narrows as 1/sqrt(df). Against
+30-digit mpmath values (|r| <= 0.99, |x| <= 1e3) its absolute error is
+below 2e-13 for df from 1 to 40 and 1e-12 down to df 0.7; at x1 = 1e3 it
+is 7e-14 at df 48.5, 5e-14 at df 64.5, 3e-14 at df 100.5 and 8e-14 at df
+400.5, where the fixed 141-node rule was off by 1e-11, 5e-9, 5e-6 and
+1e-3. Normalization sequences use the inverse t distribution function
 ``special.stdtrit``. The functions that call ``scipy.special`` import it
 themselves, so that the commands which never reach them start without
 loading scipy.
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateModelError, InversionError, UnsupportedDimensionError, _readonly
-from .evt import TailFit, extrapolate
+from .evt import extrapolate
 from .geometry import Direction, RotationMatrix, rotation_for
 
 
@@ -141,30 +143,36 @@ def _tanh_sinh_rule(step: float, t_max: float):
     return s, w
 
 
-# One fixed rule of 141 nodes per part. Against 40-digit mpmath values at
-# 504 points (nu from 0.7 to 30, |r| <= 0.99, |x| up to 1e3) its largest
-# absolute error was 7e-13 at nu = 0.7, 7e-14 at nu = 1 and 4e-16 for
-# nu >= 2. Other points give 1.1e-12 at nu = 0.7 and 1.5e-13 at nu = 1
-# (|x| = 1e3, |r| = 0.99), and the error grows above nu = 40 (see the
-# module docstring). t_stdf calls it with a non-integer nu + 1 > 1.
-_TS_S, _TS_W = _tanh_sinh_rule(1.0 / 20.0, 3.5)
+# The rule's step up to df _TS_FLAT_DF and its range in t: 141 nodes per
+# part. Against 40-digit mpmath values at 504 points (nu from 0.7 to 30,
+# |r| <= 0.99, |x| up to 1e3) its largest absolute error was 7e-13 at
+# nu = 0.7, 7e-14 at nu = 1 and 4e-16 for nu >= 2. Other points give
+# 1.1e-12 at nu = 0.7 and 1.5e-13 at nu = 1 (|x| = 1e3, |r| = 0.99).
+# t_stdf calls it with a non-integer nu + 1 > 1.
+_TS_STEP = 1.0 / 20.0
+_TS_T_MAX = 3.5
+# Above this df the density factor sin(psi)^(nu-1) narrows as 1/sqrt(nu),
+# and the step shrinks with it: step (1/20) sqrt(40/nu) (see _t2_cdf_rule).
+_TS_FLAT_DF = 40.0
 # Nodes whose weight (density factor included) lies below this are not
 # evaluated: the t distribution function they multiply is at most 1, so
 # together they add less than 3e-17.
 _NEGLIGIBLE_WEIGHT = 1e-19
-# Distribution functions per block, which bounds the node temporaries to
-# a few megabytes.
-_BLOCK = 2048
+# Distribution functions times nodes per part in one block: 2048 functions
+# of the 141-node rule. It bounds the node temporaries to a few megabytes.
+_BLOCK_NODES = 2048 * 141
 # Largest integer df that takes the closed form. Its cost grows with df
-# (df/2 recurrence steps) while the quadrature's does not. Best of 7 on
-# a 2-core x86-64 host: at 192 arguments (the three distribution
-# functions of 64 angles) the closed form took 0.05 ms at df 4-5, 0.47 ms
-# at df 256 and 1.7 ms at df 1000, against 6-8 ms for the quadrature; at
-# 3267 arguments, 7.6 ms at df 1000 against 123 ms. A single argument
-# at df 1000 takes 1.5 ms against 0.07 ms. Against 30-digit mpmath values
-# the closed form's absolute error stayed below 4e-15 up to df 2000,
-# where the quadrature's reached 1e-11 at df 128, 4e-7 at df 256 and
-# 3e-5 at df 1000. The cap bounds the cost of one call to a few ms.
+# (df/2 recurrence steps), the quadrature's with sqrt(df) above df 40.
+# Best of 7 on a 2-core x86-64 host: at 192 arguments (the three
+# distribution functions of 64 angles) the closed form took 0.05 ms at
+# df 4-5, 0.47 ms at df 256 and 1.7 ms at df 1000; at 3267 arguments,
+# 7.6 ms at df 1000. The quadrature took 6-8 ms at 192 arguments up to
+# df 40, and best of 5 at df 999.5 took 33 ms at 192 arguments and
+# 0.55 s at 3267. A single argument at df 1000 takes 1.5 ms in the
+# closed form. Against 30-digit mpmath values the closed form's absolute
+# error stayed below 4e-15 up to df 2000; the quadrature's was 9e-18,
+# 8e-17 and 4e-15 at df 128, 256 and 1000 (x = (22.57, -2.26),
+# r = -0.146). The cap bounds the cost of one call to a few ms.
 _CLOSED_FORM_MAX_DF = 1000
 # Arguments are clipped to this magnitude in the closed form, so that
 # their squares and pairwise products stay finite. The t mass beyond it
@@ -202,8 +210,9 @@ def _t2_cdf(x1, x2, r, nu: float) -> np.ndarray:
         out[finite] = _t2_cdf_closed(a1, a2, ar, int(nu))
         return out
     values = np.empty(a1.shape)
-    for lo in range(0, a1.size, _BLOCK):
-        part = slice(lo, lo + _BLOCK)
+    block = _BLOCK_NODES // _t2_cdf_rule(nu)[0].size
+    for lo in range(0, a1.size, block):
+        part = slice(lo, lo + block)
         values[part] = _t2_cdf_block(a1[part], a2[part], ar[part], nu)
     out[finite] = values
     return out
@@ -266,9 +275,22 @@ def _t2_cdf_closed(x1, x2, r, nu: int) -> np.ndarray:
     return np.clip(base + total[0] + total[1], 0.0, 1.0)
 
 
+def _t2_cdf_rule(nu: float):
+    """The tanh-sinh nodes and weights of the quadrature at df nu.
+
+    The step is (1/20) min(1, sqrt(40/nu)), so every df up to 40 shares
+    the 141-node rule, and above it the nodes follow the density factor's
+    width. The step never falls below the one at which a single argument's
+    nodes fill a block, which it reaches near df 1.7e8.
+    """
+    step = _TS_STEP * min(1.0, math.sqrt(_TS_FLAT_DF / nu))
+    return _tanh_sinh_rule(max(step, _TS_T_MAX / (_BLOCK_NODES // 2 - 1)), _TS_T_MAX)
+
+
 def _t2_cdf_block(x1, x2, r, nu: float) -> np.ndarray:
     from scipy import special
 
+    ts_s, ts_w = _t2_cdf_rule(nu)
     root_nu = math.sqrt(nu)
     x2, r = x2[:, None, None], r[:, None, None]
     hi = np.arctan2(root_nu, -x1)[:, None, None]
@@ -276,12 +298,12 @@ def _t2_cdf_block(x1, x2, r, nu: float) -> np.ndarray:
     cut = np.minimum(np.mod(np.arctan2(r * root_nu, -x2), np.pi), hi)
     start = np.concatenate([np.zeros_like(cut), cut], axis=1)    # parts [0, cut], [cut, hi]
     length = np.concatenate([cut, hi - cut], axis=1)
-    psi = start + length * _TS_S
+    psi = start + length * ts_s
     sin_psi = np.sin(psi)
     with np.errstate(divide="ignore", invalid="ignore"):
         # sin(psi)^(nu-1) is infinite at psi = 0 for nu < 1, where the
         # part has zero length
-        weight = (length * _TS_W) * sin_psi ** (nu - 1.0) / special.beta(0.5 * nu, 0.5)
+        weight = (length * ts_w) * sin_psi ** (nu - 1.0) / special.beta(0.5 * nu, 0.5)
     keep = weight > _NEGLIGIBLE_WEIGHT
     k = np.sqrt((nu + 1.0) / (nu * (1.0 - r) * (1.0 + r)))
     arg = k * (x2 * sin_psi + r * root_nu * np.cos(psi))
@@ -296,9 +318,10 @@ def t_cdf(x, corr, nu: float) -> float:
     Dimension 1 is ``special.stdtr``. Dimension 2 goes through
     ``_t2_cdf``: for an integer nu up to 1000 it is the closed form of
     Dunnett and Sobel (1954), with absolute error below 4e-15; any other
-    nu takes a fixed 141-node tanh-sinh rule, whose absolute error is
-    below 2e-13 for nu from 1 to 40 and below 1e-12 down to nu = 0.7,
-    and grows above nu = 40 at large arguments.
+    nu takes a tanh-sinh rule, 141 nodes up to nu = 40 and more above
+    it, whose absolute error is below 2e-13 for nu from 1 to 40 and below
+    1e-12 down to nu = 0.7, and was measured at 3e-14 to 8e-14 for nu
+    from 48.5 to 400.5 at |x| = 1e3.
     """
     from scipy import special
 
@@ -329,7 +352,8 @@ def t_stdf(z, corr, nu: float):
     through one vectorised evaluation (see ``t_cdf``): the closed form
     when nu + 1 is an integer up to 1000, as for the paper's models,
     with absolute error per term below 4e-15, and otherwise the
-    tanh-sinh rule, below 2e-13 for nu + 1 from 1 to 40.
+    tanh-sinh rule, below 2e-13 for nu + 1 from 1 to 40 and refined
+    above it (see ``t_cdf``).
     """
     from scipy import special
 
@@ -437,21 +461,6 @@ def asymptotic_quantile(params: TParams, u: Direction | RotationMatrix, alpha: f
     """Asymptotic quantile point of the rotated model along angle theta, in
     rotated coordinates: ``model_oracle``'s points."""
     return model_oracle(params, u, alpha, theta, t).x_rotated
-
-
-@dataclass(frozen=True)
-class ModelFit:
-    """The model's marginal normalization at anchor t = n/k, laid out and
-    serialized like a TailFit; it needs only t > 1, so k = 1 is allowed."""
-
-    k: int
-    gamma_marginal: np.ndarray
-    gamma: float
-    a: np.ndarray
-    b: np.ndarray
-    n: int
-
-    to_dict = TailFit.to_dict
 
 
 def relative_error(x_tilde, x_hat) -> float:

@@ -14,6 +14,7 @@ from dirquant import (
     DirquantError,
     InversionError,
     NumericalError,
+    TailFit,
     asymptotic_quantile,
     diagonal_direction,
     flag_outliers,
@@ -331,6 +332,25 @@ class TestCommands:
         assert doc["gamma"] == pytest.approx(1 / 3)
         assert abs(doc["direction"][0]) > 0.99
 
+    @pytest.mark.parametrize("k", [1, 250])
+    def test_oracle_surface_holds_a_tail_fit(self, k, tmp_path, monkeypatch):
+        surfaces = []
+
+        class Recorded(quantile.QuantileSurface):
+            def __post_init__(self):
+                super().__post_init__()
+                surfaces.append(self)
+
+        monkeypatch.setattr(cli, "QuantileSurface", Recorded)
+        assert main(["oracle-t", "--mu", MU2, "--sigma", SIG2, "--nu", "3",
+                     "--alpha", "1/5000", "--n", "5000", "--k", str(k), "--grid", "5",
+                     "--output", str(tmp_path / "oracle.json")]) == 0
+        (surface,) = surfaces
+        assert type(surface.fit) is TailFit
+        assert (surface.fit.k, surface.fit.n, surface.fit.gamma) == (k, 5000, 1 / 3)
+        assert surface.fit.gamma_marginal.tolist() == [1 / 3, 1 / 3]
+        assert not hasattr(tmodel, "ModelFit")
+
     @pytest.mark.parametrize("command", [
         ["oracle-t", "--alpha", "1/5000", "--n", "5000", "--k", "100", "--grid", "3"],
         ["mc-study", "--n", "2000", "--replicates", "3", "--k", "100", "--grid", "3",
@@ -522,6 +542,32 @@ class TestCommands:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert err["message"] == f"{cfgfile}: {message}"
+        assert not out.exists()
+
+    def test_config_comments_and_blank_lines_ignored(self, data_csv, tmp_path):
+        plain = tmp_path / "plain.cfg"
+        plain.write_text(f"input={data_csv}\nhas-header=true\nk=150\ngrid=4\n")
+        commented = tmp_path / "commented.cfg"
+        commented.write_text(f"# a first comment\ninput={data_csv}\n\nhas-header=true\n"
+                             "   # an indented comment\nk=150\n\t\ngrid=4\n")
+        outputs = []
+        for cfgfile in (plain, commented):
+            out = tmp_path / f"{cfgfile.stem}.json"
+            assert main(["estimate", "--config", str(cfgfile), "--alpha", "1/1500",
+                         "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("line", ["grid 4", "k"])
+    def test_config_line_without_equals_rejected(self, line, data_csv, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"input={data_csv}\n# has-header=true\n{line}\n")
+        out = tmp_path / "s.json"
+        assert main(["estimate", "--config", str(cfgfile), "--alpha", "1/1500",
+                     "--k", "150", "--has-header", "--output", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": f"{cfgfile}: line 3 is not key=value: {line!r}"}
         assert not out.exists()
 
 

@@ -16,7 +16,7 @@ from dirquant import (
     norm_sequences,
 )
 from dirquant.errors import TailDisparityWarning
-from dirquant.evt import _descending_logs, _profiles_from_logs
+from dirquant.evt import _descending_logs, _profiles_from_logs, extrapolate, frechet_weights
 
 LN2 = math.log(2.0)
 
@@ -141,6 +141,33 @@ class TestNormSequences:
             norm_sequences([1.0, 5.0, 5.0], 1, 0.5)
 
 
+class TestExtrapolation:
+    @pytest.mark.parametrize("gamma", [1e-5, 1.4e-5, 5e-4])
+    def test_round_trip_at_small_tail_index(self, gamma):
+        # the power forms would lose about 1e-16/gamma in each direction
+        base = np.array([1e-3, 0.5, 2.0, 1.4e4, 1e6])
+        x = extrapolate(base, 0.7, 3.0, gamma)
+        assert np.allclose(x, 0.7 * np.expm1(gamma * np.log(base)) / gamma + 3.0,
+                           rtol=1e-15, atol=0.0)
+        assert np.allclose(frechet_weights(x, 0.7, 3.0, gamma), base, rtol=1e-14, atol=0.0)
+
+    def test_power_forms_kept_at_other_tail_indexes(self):
+        # per marginal: the first takes the expm1/log1p forms, the second
+        # and third keep the power forms bit for bit
+        gamma, a, b = np.array([1e-5, 1e-3, 0.25]), np.array([0.7, 1.1, 2.0]), 3.0
+        base = np.array([[0.5, 2.0, 1.4e4], [1e3, 0.1, 7.0]])
+        x = extrapolate(base, a, b, gamma)
+        assert x[:, 1:].tobytes() == (a * (base**gamma - 1.0) / gamma + b)[:, 1:].tobytes()
+        w = frechet_weights(x, a, b, gamma)
+        power = np.maximum(0.0, 1.0 + gamma * (x - b) / a) ** (1.0 / gamma)
+        assert w[:, 1:].tobytes() == power[:, 1:].tobytes()
+        # the power forms' round trip loses about 1e-16/gamma: 1.3e-13 at 1e-3
+        assert np.allclose(w, base, rtol=2e-13, atol=0.0)
+        # at or below the endpoint b - a/gamma the weight is 0
+        assert frechet_weights(np.array([b - a[0] / gamma[0] - 1.0]), a[0], b,
+                               gamma[0]).tolist() == [0.0]
+
+
 class TestFitTails:
     def test_single_marginal_reduction(self):
         rng = np.random.default_rng(1)
@@ -205,9 +232,22 @@ class TestFitTails:
         assert fit2.gamma_marginal[1] == fit1.gamma_marginal[1]
 
     def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            TailFit(k=1, gamma_marginal=np.array([0.5]), gamma=0.5,
-                    a=np.array([1.0]), b=np.array([1.0]), n=10)
+        for k in (0, 10):
+            with pytest.raises(ValueError, match=rf"k={k} outside \[1, n-1\] for n=10"):
+                TailFit(k=k, gamma_marginal=np.array([0.5]), gamma=0.5,
+                        a=np.array([1.0]), b=np.array([1.0]), n=10)
         with pytest.raises(PositivityError):
             TailFit(k=3, gamma_marginal=np.array([0.5]), gamma=0.5,
                     a=np.array([1.0]), b=np.array([-1.0]), n=10)
+
+    def test_one_order_statistic_allowed(self):
+        # a known model's normalization at t = n needs no estimator
+        fit = TailFit(k=1, gamma_marginal=np.array([0.5]), gamma=0.5,
+                      a=np.array([1.0]), b=np.array([1.0]), n=10)
+        assert fit.to_dict()["k"] == 1
+
+    def test_fit_tails_refuses_one_order_statistic(self):
+        x = np.random.default_rng(5).pareto(2.0, (100, 2)) + 1.0
+        with pytest.raises(ValueError, match=r"^k=1 too small: the moment estimator "
+                           r"needs k >= 2$"):
+            fit_tails(x, 1)

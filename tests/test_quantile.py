@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -65,6 +67,20 @@ class TestThetaGrid:
             theta_grid(2, 4, 0.0)
         with pytest.raises(ValueError):
             theta_grid(2, 4, 1.0)
+
+    def test_dimension_below_two_rejected(self):
+        for d in (1, 0):
+            with pytest.raises(ValueError, match=rf"^dimension must be >= 2, got {d}$"):
+                theta_grid(d, 4, 0.01)
+
+    def test_holds_unit_vectors_and_their_angles(self):
+        g = theta_grid(3, 4, 0.05)
+        assert [f.name for f in dataclasses.fields(g)] == ["thetas", "angles"]
+        assert g.angles.shape == (16, 2) and not g.angles.flags.writeable
+        phi1, phi2 = g.angles.T
+        assert np.allclose(g.thetas, np.column_stack(
+            [np.cos(phi1), np.sin(phi1) * np.cos(phi2), np.sin(phi1) * np.sin(phi2)]),
+            rtol=0, atol=1e-15)
 
     def test_refinement_shares_angles_bitwise(self):
         for d in (2, 3):
@@ -387,6 +403,25 @@ class TestFitDirection:
         assert len(angles) == 2 and all(t.shape == (1, 2) for t in angles)
         assert all(np.isfinite(t).all() for t in angles)
 
+    def test_weight_norm_overflow_with_finite_weights_is_rescaled(self, params_2d):
+        # (1e80, 1) has weights near (5.6e200, 0.17): their squares overflow,
+        # the weights do not, and the level is near 1e-201, not 0.0
+        fitted = quantile.fit_direction(sample_t(params_2d, 2000, 1),
+                                        diagonal_direction(2), k=100)
+        fit, ctx = fitted.fit, fitted.context
+        zr = rotate(fitted.rotation, np.array([[1e80, 1.0]]))
+        w = quantile.frechet_weights(zr, fit.a, fit.b, fit.gamma_marginal)[0]
+        with np.errstate(over="ignore"):
+            assert np.isfinite(w).all() and np.linalg.norm(w) == np.inf
+        top = w.max()
+        norm = top * np.linalg.norm(w / top)
+        rho, _ = quantile.rho_hat_batch(ctx, (w / norm)[None, :])
+        level = fitted.levels([1e80, 1.0])
+        assert level[0] > 0.0
+        assert level.tolist() == [(fit.k / fit.n) * rho[0] / norm]
+        levels = fitted.levels([[1e40, 1.0], [1e60, 1.0], [1e80, 1.0]])
+        assert (np.diff(levels) < 0).all() and levels[-1] > 0.0
+
     @pytest.mark.parametrize("k", [0, -3, "n", "2n"])
     def test_k_outside_range_rejected(self, k, sample_2d):
         # the range check comes before the order statistic is read
@@ -576,6 +611,16 @@ class TestFlagOutliers:
         else:
             assert np.array_equal(res.alpha_z[p], res_p.alpha_z)
             assert np.array_equal(res.flagged[p], res_p.flagged)
+
+    @pytest.mark.parametrize("alpha", [5.0, 1.0, 0.0, -1.0, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha, params_2d, monkeypatch):
+        calls = []
+        monkeypatch.setattr(quantile, "fit_direction", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\), got "
+                           + re.escape(repr(alpha)) + "$"):
+            flag_outliers(sample_t(params_2d, 2000, 1), diagonal_direction(2), alpha,
+                          k=100)
+        assert calls == []
 
     def test_auto_k_uses_bootstrap(self, sample_2d):
         res = flag_outliers(sample_2d, diagonal_direction(2), 0.01, k="auto",

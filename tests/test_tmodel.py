@@ -306,6 +306,27 @@ class TestBivariateKernel:
         got = _t2_cdf(np.array([0.3, -1.0, np.inf]), np.array([1.2, 2.0, 0.5]), 0.4, nu)
         assert np.isfinite(got).all()
 
+    def test_quadrature_step_follows_df_above_40(self):
+        # one 141-node rule per part up to df 40, more nodes above it, and
+        # never more than 2048 x 141 distribution functions times nodes per block
+        sizes = {nu: tmodel._t2_cdf_rule(nu)[0].size
+                 for nu in (0.7, 2.5, 40.0, 48.5, 100.5, 999.5, 1e9)}
+        assert [sizes[nu] for nu in (0.7, 2.5, 40.0)] == [141] * 3
+        assert 141 < sizes[48.5] < sizes[100.5] < sizes[999.5] < sizes[1e9]
+        for size in sizes.values():
+            assert 1 <= tmodel._BLOCK_NODES // size
+            assert tmodel._BLOCK_NODES // size * size <= 2048 * 141
+
+    def test_blocks_above_df_40_equal_single_calls(self):
+        # 2100 arguments span two blocks at df 48.5, of 1863 and 237
+        rng = np.random.default_rng(9)
+        x1, x2 = rng.standard_normal((2, 2100)) * 3.0
+        r = rng.uniform(-0.9, 0.9, 2100)
+        nu = 48.5
+        stacked = _t2_cdf(x1, x2, r, nu)
+        for i in (0, 1862, 1863, 2099):
+            assert _t2_cdf(x1[i], x2[i], r[i], nu) == stacked[i]
+
     @pytest.mark.parametrize("nu", (1.0, 2.0, 3.0, 4.0, 5.0, 12.0, 7.5))
     def test_stack_equals_single_calls(self, nu):
         rng = np.random.default_rng(8)
@@ -362,7 +383,10 @@ class TestBivariateKernel:
                      (1e3, -2.0, -0.99, 2.0), (-0.4, 1e3, 0.99, 6.0), (-3.0, -4.0, 0.7, 10.0),
                      (1e3, -1e3, 0.99, 1.0), (8.0, -1.0, -0.95, 11.0),
                      # df where the quadrature is off by 1e-11 and 4e-7
-                     (22.57, -2.26, -0.146, 128.0), (22.57, -2.26, -0.146, 256.0)]:
+                     (22.57, -2.26, -0.146, 128.0), (22.57, -2.26, -0.146, 256.0),
+                     # non-integer df above 40, where the quadrature's step
+                     # shrinks as 1/sqrt(df)
+                     (1e3, 3.0, 0.0, 48.5), (1e3, 3.0, 0.0, 64.5), (1e3, 3.0, 0.0, 100.5)]:
             assert abs(float(_t2_cdf(*args)) - reference(*args)) <= 1e-13
 
 
