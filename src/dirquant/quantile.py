@@ -294,8 +294,9 @@ def _rotated_tail_levels(ctx: StdfContext, zr: np.ndarray, fit: TailFit) -> np.n
         norms = np.linalg.norm(w, axis=1)
         # a norm whose squares overflow while its weights stay finite is
         # taken as top ||w/top||, with top the largest weight of the row
-        scaled = (norms == np.inf) & np.isfinite(w).all(axis=1)
-        if scaled.any():
+        scaled = np.flatnonzero(norms == np.inf)
+        if scaled.size:
+            scaled = scaled[np.isfinite(w[scaled]).all(axis=1)]
             top = w[scaled].max(axis=1)
             norms[scaled] = top * np.linalg.norm(w[scaled] / top[:, None], axis=1)
     out = np.full(zr.shape[0], np.inf)
