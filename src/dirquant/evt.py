@@ -78,7 +78,7 @@ _SMALL_GAMMA = 1e-3
 def extrapolate(base, a, b, gamma):
     """Quantile coordinates a (base^gamma - 1)/gamma + b; base is (d,) or (g, d).
 
-    A marginal whose gamma is below ``_SMALL_GAMMA`` takes the same value as
+    A marginal whose gamma is below ``_SMALL_GAMMA`` is computed as
     a expm1(gamma ln base)/gamma + b.
     """
     x = a * (base**gamma - 1.0) / gamma + b
@@ -93,7 +93,7 @@ def extrapolate(base, a, b, gamma):
 def frechet_weights(x, a, b, gamma):
     """Inverse of ``extrapolate``; 0 at or below the endpoint b - a/gamma.
 
-    A marginal whose gamma is below ``_SMALL_GAMMA`` takes the value as
+    A marginal whose gamma is below ``_SMALL_GAMMA`` is computed as
     exp(log1p(gamma (x - b)/a)/gamma).
     """
     y = gamma * (x - b) / a
