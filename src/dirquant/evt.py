@@ -68,42 +68,22 @@ class TailFit:
         }
 
 
-# Below this tail index ``extrapolate`` and ``frechet_weights`` take the
-# forms through expm1 and log1p. The power forms lose about 1e-16/gamma of
-# relative precision (7e-12 in a tail level's round trip at gamma =
-# 1.4e-5), so at most about 1e-13 above it, where they keep their bits.
-_SMALL_GAMMA = 1e-3
-
-
 def extrapolate(base, a, b, gamma):
-    """Quantile coordinates a (base^gamma - 1)/gamma + b; base is (d,) or (g, d).
+    """Quantile coordinates a expm1(gamma ln base)/gamma + b; base is (d,) or (g, d).
 
-    A marginal whose gamma is below ``_SMALL_GAMMA`` is computed as
-    a expm1(gamma ln base)/gamma + b.
+    This is a (base^gamma - 1)/gamma + b without the rounding of base^gamma
+    that costs about 1e-16/gamma of relative precision; base 0 maps to the
+    endpoint b - a/gamma.
     """
-    x = a * (base**gamma - 1.0) / gamma + b
-    small = np.asarray(gamma) < _SMALL_GAMMA
-    if small.any():
-        with np.errstate(divide="ignore"):
-            precise = a * np.expm1(gamma * np.log(base)) / gamma + b
-        x = np.where(small, precise, x)
-    return x
+    with np.errstate(divide="ignore"):
+        return a * np.expm1(gamma * np.log(base)) / gamma + b
 
 
 def frechet_weights(x, a, b, gamma):
-    """Inverse of ``extrapolate``; 0 at or below the endpoint b - a/gamma.
-
-    A marginal whose gamma is below ``_SMALL_GAMMA`` is computed as
-    exp(log1p(gamma (x - b)/a)/gamma).
-    """
-    y = gamma * (x - b) / a
-    w = np.maximum(0.0, 1.0 + y) ** (1.0 / gamma)
-    small = np.asarray(gamma) < _SMALL_GAMMA
-    if small.any():
-        with np.errstate(divide="ignore"):
-            precise = np.exp(np.log1p(np.maximum(y, -1.0)) / gamma)
-        w = np.where(small, precise, w)
-    return w
+    """Inverse of ``extrapolate``, exp(log1p(gamma (x - b)/a)/gamma); 0 at or
+    below the endpoint b - a/gamma."""
+    with np.errstate(divide="ignore"):
+        return np.exp(np.log1p(np.maximum(gamma * (x - b) / a, -1.0)) / gamma)
 
 
 def _require_heavy_tails(gamma: np.ndarray) -> None:

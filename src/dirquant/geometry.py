@@ -95,11 +95,11 @@ class RotationMatrix:
             raise InvalidDirectionError(f"rotation shape {r.shape} does not match d={d}")
         dev = np.abs(r @ r.T - np.eye(d)).max()
         if dev > ORTHO_TOL:
-            raise FactorizationError(f"rotation is not orthogonal: max deviation {dev!r}")
+            raise FactorizationError(f"rotation is not orthogonal: max deviation {float(dev)!r}")
         e = np.ones(d) / np.sqrt(d)
         dev_u = np.abs(r @ self.source_direction.components - e).max()
         if dev_u > ORTHO_TOL:
-            raise FactorizationError(f"rotation does not map u to e: deviation {dev_u!r}")
+            raise FactorizationError(f"rotation does not map u to e: deviation {float(dev_u)!r}")
 
     @property
     def d(self) -> int:
@@ -127,7 +127,7 @@ def qr_positive_diag(m: np.ndarray):
     rcond = sv[-1] / sv[0] if sv[0] > 0 else 0.0
     if not np.isfinite(rcond) or rcond <= RCOND_MIN:
         raise FactorizationError(
-            f"matrix is singular or near-singular (rcond={rcond!r}): {m.tolist()}"
+            f"matrix is singular or near-singular (rcond={float(rcond)!r}): {m.tolist()}"
         )
     q, t = np.linalg.qr(m)
     # Householder QR fixes the factorization only up to column signs;

@@ -123,9 +123,15 @@ class QuantileSurface:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        dev = np.abs(self.x_original - self.x_rotated @ self.rotation.entries).max()
-        if dev > 1e-10:
-            raise ValueError(f"inverse-rotation invariant violated by {dev!r}")
+        # relative to each row's size, so that a shift by a large offset
+        # (``shift_surface``) keeps within the tolerance its rounding needs
+        dev = np.abs(self.x_original - self.x_rotated @ self.rotation.entries).max(axis=-1)
+        scale = np.maximum(1.0, np.linalg.norm(self.x_rotated, axis=-1))
+        if (dev > 1e-10 * scale).any():
+            i = int(np.argmax(dev / scale))
+            raise ValueError(
+                f"inverse-rotation invariant violated by {float(dev[i])!r} in row {i}"
+            )
 
     @classmethod
     def from_rotated(cls, alpha, rotation, thetas, x_rotated, rho, floored, fit,

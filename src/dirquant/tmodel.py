@@ -121,7 +121,8 @@ def fpc_direction(sigma) -> Direction:
         raise DegenerateModelError("scale matrix has no positive leading eigenvalue")
     if len(w) >= 2 and (w[-1] - w[-2]) / w[-1] < 1e-10:
         raise DegenerateModelError(
-            f"leading eigenvalues tie ({w[-1]!r} vs {w[-2]!r}); principal direction undefined"
+            f"leading eigenvalues tie ({float(w[-1])!r} vs {float(w[-2])!r}); "
+            "principal direction undefined"
         )
     lead = v[:, -1]
     if lead[0] < 0:
@@ -321,7 +322,9 @@ def t_cdf(x, corr, nu: float) -> float:
     nu takes a tanh-sinh rule, 141 nodes up to nu = 40 and more above
     it, whose absolute error is below 2e-13 for nu from 1 to 40 and below
     1e-12 down to nu = 0.7, and was measured at 3e-14 to 8e-14 for nu
-    from 48.5 to 400.5 at |x| = 1e3.
+    from 48.5 to 400.5 at |x| = 1e3. Near nu = 1000 it has an error floor
+    of about 3.5e-13 that lies outside the step (3.5e-13 at x = (3, 3),
+    r = 0.6, nu = 999.5, whatever the step).
     """
     from scipy import special
 

@@ -275,6 +275,16 @@ class TestCommands:
         report = json.loads((tmp_path / "c.json.report.json").read_text())
         assert report["centered"]
 
+    @pytest.mark.parametrize("direction", ["fpc", "0.3,1"])
+    def test_estimate_centering_large_median(self, tmp_path, params_2d, direction):
+        raw = tmp_path / "raw.csv"
+        np.savetxt(raw, sample_t(params_2d, 5000, 1) + 2e6, delimiter=",")
+        out = tmp_path / "c.json"
+        assert main(["estimate", "--input", str(raw), "--center", "--direction", direction,
+                     "--k", "200", "--alpha", "1/5000", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert min(min(p["x_original"]) for p in doc["points"]) > 1e6
+
     def test_flag_csv(self, data_csv, tmp_path):
         out = tmp_path / "flags.csv"
         rc = main(["flag", "--input", data_csv, "--has-header",
@@ -1032,62 +1042,62 @@ BYTE_CASES = {
 # empty suffix is --output itself)
 BYTE_DIGESTS = {
     "estimate-csv-2d-center": {
-        "": "5119c6a909fed6bb343e8dd59087e7de36fec030cf1afe4748b7bcba256339fa",
+        "": "ae8d65cff870053d5d6919debc2e0bb65a787af92737feb683f9a9d3896401fa",
         ".report.json": "3014ebc13b378c8eccd8f3b5e1a647f8cb14d9a9223f33612fb33d5d29adf959",
     },
     "estimate-csv-3d-auto": {
-        "": "14e9737c5c72d350b6b7c08d4e430ab92c4b846935fdad34a6a9e2f0acaac2eb",
+        "": "4dbc1d8f705c9238b500fb622048a87c20c21171df4f5ea01b87cc6ed278987d",
         ".report.json": "414b6ab4b04e38374bd2b2b16301d55d8cccf661d6c9ce65d7340e6570d03638",
     },
     "estimate-json-2d-auto": {
-        "": "d424f150d5680e2b1aa6d08a6bf9a9b295e42f222c24f1ebcd198153400fba2f",
+        "": "91be93ce7c60e94af878cef0826e594727ed1e3c79573bfe91ab055dbd865cc8",
         ".report.json": "c5b6b0585ed44d5b95db5c42f28e8ecb6079678db77340fcf83c45e505933d05",
     },
     "estimate-json-3d-k-rho": {
-        "": "ef74506e9f010cb138c51e274746019e86d93c2e372cf6551a1a63a20f1e607e",
+        "": "f72dd8b0a144fcbb92ee6ee949183b53aa852d17ad169a601f4486a5a38c78e1",
         ".report.json": "d8cb4e4f890a63611cfce461b393612ed16324eff59f45d57da927e338429121",
     },
     "estimate-json-4d": {
-        "": "c3178166a5b0c948fc63f9cdb85d4d9b898ade07ee9d9660aa11d6f98872a35b",
+        "": "c8299687745ea9d7891ee47e4bbda5605c96f14d2d254c0acaf830cc7317fa50",
         ".report.json": "3d9850fb5a54284d8e3b6a1882c73ebc535c1d7c7c9c9b5934fc57f6839efe8f",
     },
     "flag-csv-2d-auto": {
-        "": "dfe5ca97a6d0471826b793f2c32931b21f6df5a01fb62149c3a8b6a33e44dab1",
+        "": "d65faee6116ef786caf780ad09de9f49f4a081fa2c510dbd7487973ea2023760",
     },
     "flag-csv-3d": {
-        # row 791 lies on its own threshold in coordinate 3, where
-        # a (theta^gamma - 1)/gamma + b reproduces it exactly: alpha_z
-        # counts 2897 rows beyond it, not 2898
-        "": "ef8aff2be252c1c5129678147de4ae1874ab994528eb2ed92c961d40e985142c",
+        # row 791 lies on its own threshold b in coordinate 1, where its
+        # weight is exactly 1 and maps back to b exactly: alpha_z counts
+        # 2897 rows beyond it, not 2898
+        "": "7582efcd935945f04da88429004ec817cd6c1806f2ef53e6406859d5109d536a",
     },
     "flag-json-2d": {
-        "": "300ef3105cfa95b7efd47deac2d9017ad35c68e2162466199afa87bf7dcd4d25",
+        "": "401ae395fa86201166ae1132e45ffc10f664776f134ccc12ea405a25c59623ec",
     },
     "flag-json-3d-center": {
-        "": "cfb41e6752cee98a30573ff5ebd30587f3bdc3173a9b9f0c3cfdf5f3a9553463",
+        "": "7b780c82610fe03c88d3dab8728c88ffda5c1d30334f94be6626c5e450a93662",
     },
     "mc-study-2d": {
         # replicate 1 fails with "HeavyTailError: marginal 1 has tail index
         # -0.1568... <= 0": marginals are numbered from 1 in messages
-        ".replicates.csv": "5a221e363ed28313f5177ccba95db7d186f0dfacdef9e55ad6f916b2b92a2703",
+        ".replicates.csv": "a71f039672973529e4a099761d2ae6bb4e37a3d9d8317fd4136bce0b5330ad82",
         ".rho.csv": "623fb2186c86328e4e1314259b42c017a90642bcede0ef4fdd970d77ef656bd5",
-        ".bands.csv": "0c6c6f122ecffe8427a6ad269bdacbb70e07d8896e9b8f122dd46a01b4006bcd",
-        ".summary.json": "5b94e39089bf67f5ef95ea98cd49b6fc21a03ad0e9b56130ca9d0e44ef8b96b9",
+        ".bands.csv": "18bd7beeeeb903225f74c24072724422e3863c71a1474b549833eb15f661c0e5",
+        ".summary.json": "50a30a4abf5a1cec1089e82019eadf1b19b2cad2e1ceecbe74984bb32eacf272",
     },
     "mc-study-3d": {
-        ".replicates.csv": "b0cfd5189d338103a64683aaa91ec210f23e39069c055bc9ffd8dba39834681e",
+        ".replicates.csv": "98fcf64c52018621c9b3a011842a2400ac2339384117cf06e01b516a903e9f3c",
         ".rho.csv": "f41c4c1d9683048a69a1fcd2d6f1eda2c730c211cf3d6f8137b2946ce76a4509",
-        ".bands.csv": "dbb324876500b0d389556ace3e4de2a24271f3fff4e485c2f2b0448194cb0183",
-        ".summary.json": "aeadd784c0b774724933e39f6ce305c2ce55a21d42d7b48e181f74469f28dfed",
+        ".bands.csv": "41f051db852f9db29bbd015b4613ca3fa1e9465312654c3bb59ac9a5f5ee1861",
+        ".summary.json": "819023e74d242dd2a1d66b561f6c0dfedbce6df0b95193075fd389015704ddec",
     },
     "oracle-csv-3d": {
-        "": "f12e14a256738bb92f6ca8a4fded739df29b67fcfcc7b3f0651e3d5aa397e5c9",
+        "": "d6818963f8f0d99ec1c7882bc01a2ef4528366a8c356f4c690d30040037f6c3b",
     },
     "oracle-json-2d": {
-        "": "76b31d4bb338c47c68eeb782f584c762dfc25eccf8de04cdbbbe264211a98758",
+        "": "50ae51f1b4672089e1eb50a32fb35e584019d8f16466b8ea13c866d82e46ec28",
     },
     "oracle-json-k1": {
-        "": "8a2b352f57db8b2f7e10ac021389bdb610b7a3f9caad4d6494dae575ed1cc4af",
+        "": "1b4a6bf80fde5d85b957b5f19586b93f194fb53900e66129647844ed5c305319",
     },
     "rotate-csv-3d": {
         "": "ad8b3623224876497667f2a67dc4faae207bdf78480c54365974b35b26c29010",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -142,30 +143,19 @@ class TestNormSequences:
 
 
 class TestExtrapolation:
-    @pytest.mark.parametrize("gamma", [1e-5, 1.4e-5, 5e-4])
-    def test_round_trip_at_small_tail_index(self, gamma):
-        # the power forms would lose about 1e-16/gamma in each direction
-        base = np.array([1e-3, 0.5, 2.0, 1.4e4, 1e6])
-        x = extrapolate(base, 0.7, 3.0, gamma)
-        assert np.allclose(x, 0.7 * np.expm1(gamma * np.log(base)) / gamma + 3.0,
-                           rtol=1e-15, atol=0.0)
-        assert np.allclose(frechet_weights(x, 0.7, 3.0, gamma), base, rtol=1e-14, atol=0.0)
-
-    def test_power_forms_kept_at_other_tail_indexes(self):
-        # per marginal: the first takes the expm1/log1p forms, the second
-        # and third keep the power forms bit for bit
-        gamma, a, b = np.array([1e-5, 1e-3, 0.25]), np.array([0.7, 1.1, 2.0]), 3.0
-        base = np.array([[0.5, 2.0, 1.4e4], [1e3, 0.1, 7.0]])
-        x = extrapolate(base, a, b, gamma)
-        assert x[:, 1:].tobytes() == (a * (base**gamma - 1.0) / gamma + b)[:, 1:].tobytes()
-        w = frechet_weights(x, a, b, gamma)
-        power = np.maximum(0.0, 1.0 + gamma * (x - b) / a) ** (1.0 / gamma)
-        assert w[:, 1:].tobytes() == power[:, 1:].tobytes()
-        # the power forms' round trip loses about 1e-16/gamma: 1.3e-13 at 1e-3
-        assert np.allclose(w, base, rtol=2e-13, atol=0.0)
-        # at or below the endpoint b - a/gamma the weight is 0
-        assert frechet_weights(np.array([b - a[0] / gamma[0] - 1.0]), a[0], b,
-                               gamma[0]).tolist() == [0.0]
+    @settings(deadline=None)
+    @given(st.floats(-8.0, math.log10(0.5)), st.floats(-3.0, 8.0))
+    def test_round_trip_at_small_tail_index(self, log_gamma, log_base):
+        # gamma and base log-uniform; a power form base**gamma would lose
+        # about 1e-16/gamma in each direction
+        gamma, base, a, b = 10.0**log_gamma, 10.0**log_base, 0.7, 3.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = extrapolate(np.array([base, 0.0]), a, b, gamma)
+            assert frechet_weights(x[0], a, b, gamma) == pytest.approx(base, rel=2e-14, abs=0.0)
+            # base 0 maps to the endpoint b - a/gamma, and below it the weight is 0
+            assert x[1] == b - a / gamma
+            assert frechet_weights(x[1] - 1.0, a, b, gamma) == 0.0
 
 
 class TestFitTails:

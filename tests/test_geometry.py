@@ -8,6 +8,7 @@ from dirquant import (
     Direction,
     FactorizationError,
     InvalidDirectionError,
+    RotationMatrix,
     diagonal_direction,
     qr_positive_diag,
     rotate,
@@ -93,6 +94,16 @@ class TestQrPositiveDiag:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             qr_positive_diag(np.ones((2, 3)))
+
+    def test_messages_print_plain_floats(self):
+        # the same text under numpy 1 and numpy 2, which prints np.float64(...)
+        with pytest.raises(FactorizationError, match=r"\(rcond=[0-9.e-]+\): "):
+            qr_positive_diag(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        u = Direction.from_vector([0.6, 0.8])
+        with pytest.raises(FactorizationError, match=r"max deviation 3\.0$"):
+            RotationMatrix(np.diag([2.0, 1.0]), u)
+        with pytest.raises(FactorizationError, match=r"map u to e: deviation 0\.1[0-9]*$"):
+            RotationMatrix(np.eye(2), u)
 
 
 class TestRotationFor:

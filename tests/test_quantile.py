@@ -273,6 +273,21 @@ class TestEstimateSurface:
         assert np.abs(moved.x_original - (surf.x_original + offset)).max() < 1e-12
         assert np.array_equal(moved.center_offset, offset)
 
+    def test_shift_by_large_offset_keeps_invariant(self, sample_2d):
+        # the shifted coordinates round at the offset's size, about 1e-10
+        # absolute at 1e6, so the invariant's tolerance scales with each row
+        u = Direction.from_vector([0.3, 1.0])
+        surf = estimate_surface(sample_2d, u, 1e-3, theta_grid(2, 5, 0.05), k=200)
+        offset = np.array([1e6, 1e6])
+        moved = shift_surface(surf, offset)
+        assert np.array_equal(moved.x_original, surf.x_original + offset)
+        # a row off by 1e-9 of its size still breaks it
+        bad = moved.x_original.copy()
+        bad[2, 1] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match=r"^inverse-rotation invariant violated by "
+                           r"[0-9.e-]+ in row 2$"):
+            dataclasses.replace(moved, x_original=bad)
+
 
 class TestFitDirection:
     def test_surfaces_and_levels_match_one_shot_calls(self, sample_2d):

@@ -180,6 +180,12 @@ class TestFpcDirection:
         with pytest.raises(DegenerateModelError):
             fpc_direction(np.eye(3))
 
+    def test_eigenvalue_tie_message_prints_plain_floats(self):
+        # the same text under numpy 1 and numpy 2, which prints np.float64(1.0)
+        with pytest.raises(DegenerateModelError,
+                           match=r"^leading eigenvalues tie \(1\.0 vs 1\.0\);"):
+            fpc_direction(np.eye(2))
+
 
 class TestTCdf:
     def test_univariate_symmetry_at_zero(self):
