@@ -143,9 +143,18 @@ class TestNormSequences:
 
 
 class TestExtrapolation:
+    @pytest.mark.parametrize("gamma", [1e-5, 1.4e-5, 5e-4])
+    def test_round_trip_at_small_tail_index(self, gamma):
+        # the power forms would lose about 1e-16/gamma in each direction
+        base = np.array([1e-3, 0.5, 2.0, 1.4e4, 1e6])
+        x = extrapolate(base, 0.7, 3.0, gamma)
+        assert np.allclose(x, 0.7 * np.expm1(gamma * np.log(base)) / gamma + 3.0,
+                           rtol=1e-15, atol=0.0)
+        assert np.allclose(frechet_weights(x, 0.7, 3.0, gamma), base, rtol=1e-14, atol=0.0)
+
     @settings(deadline=None)
     @given(st.floats(-8.0, math.log10(0.5)), st.floats(-3.0, 8.0))
-    def test_round_trip_at_small_tail_index(self, log_gamma, log_base):
+    def test_round_trip_property_at_small_tail_index(self, log_gamma, log_base):
         # gamma and base log-uniform; a power form base**gamma would lose
         # about 1e-16/gamma in each direction
         gamma, base, a, b = 10.0**log_gamma, 10.0**log_base, 0.7, 3.0
